@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import CompositeModulusUnsupported, RingSpec, Scalar
+from .ring import CompositeModulusUnsupported, RingSpec
 
 
 class RationalOps:
@@ -85,14 +85,6 @@ def ops_for(ring: RingSpec):
             f"exact elimination over {ring} needs a prime modulus"
         )
     return PrimeOps(ring.m)
-
-
-def unwrap(x: Scalar):
-    return x.value
-
-
-def wrap(ring: RingSpec, v) -> Scalar:
-    return Scalar(ring, v)
 
 
 def _reduce_against(row: dict, pivrows: dict, ops) -> dict:

@@ -38,7 +38,6 @@ __all__ = [
     "ring_as_algebra",
     "tensor_product",
     "truncated_poly",
-    "multiply",
     "jordan_product",
     "validate",
     "is_commutative",
@@ -158,10 +157,6 @@ class StructureAlgebra:
 
     # -- products on raw coordinate tuples ----------------------------------
 
-    def basis_product(self, i: int, j: int) -> tuple[Scalar, ...]:
-        """Coordinates of e_i * e_j."""
-        return self.sc[i][j]
-
     def mul_basis_vec(self, i: int, coords) -> tuple[Scalar, ...]:
         """Coordinates of e_i * v for a coordinate vector v."""
         acc = [self.ring.zero()] * self.dim
@@ -255,11 +250,6 @@ class AlgElement:
             if not c.is_zero():
                 parts.append(f"({c})*{lab}")
         return " + ".join(parts) if parts else "0"
-
-
-def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
-    """Product in the algebra, straight from the structure constants."""
-    return a * b
 
 
 def jordan_product(a: AlgElement, b: AlgElement) -> AlgElement:

@@ -1,10 +1,14 @@
-"""Checkers for product identities on map triples.
+"""The identity table, and checkers that evaluate it on map triples.
 
-Each identity kind fixes one or two equation templates relating f, g and h
-through products in the algebra.  All templates are bilinear in the two
-element arguments, so an identity holds on the whole algebra iff it holds
-on every ordered basis pair; checkers scan pairs in lexicographic order
-and report the first failure exactly as computed, never normalized.
+Each identity kind is written once, as data, in ``IDENTITIES``: equation
+templates relating f, g and h through products in the algebra.  The
+checkers here evaluate the table on elements; ``solver.build_system``
+compiles the same table into linear rows.
+
+All templates are bilinear in the two element arguments, so an identity
+holds on the whole algebra iff it holds on every ordered basis pair;
+checkers scan pairs in lexicographic order and report the first failure
+exactly as computed, never normalized.
 
 The square identity D(a^2) = D(a)a + aD(a) is the one quadratic case; it
 is checked on every basis vector together with its polarized form
@@ -12,8 +16,9 @@ is checked on every basis vector together with its polarized form
     D(ab + ba) = D(a)b + aD(b) + D(b)a + bD(a)
 
 on every pair i < j, which is exactly equivalent (expand D((a+b)^2)).
-Nothing here divides by 2, so the checks are honest over rings with
-2-torsion such as Z/4Z.
+``templates_at`` holds that rule for both interpreters.  Nothing here
+divides by 2, so the checks are honest over rings with 2-torsion such as
+Z/4Z.
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import AlgElement, StructureAlgebra, jordan_product
+from .algebra import AlgElement
 from .linmap import LinMap, MapTriple, left_mul_map
 
 __all__ = [
     "IdentityKind",
+    "IDENTITIES",
+    "SHAPES",
+    "templates_at",
     "CheckReport",
     "Counterexample",
     "PreconditionFailed",
@@ -70,16 +78,65 @@ class IdentityKind(enum.Enum):
         raise ValueError(f"unknown identity kind: {name!r}")
 
 
-# Kinds whose templates only ever read the f component of a triple.
-SINGLE_MAP_KINDS = frozenset(
-    {
-        IdentityKind.DERIVATION,
-        IdentityKind.JORDAN_DERIVATION,
-        IdentityKind.LEFT_DERIVATION,
-        IdentityKind.LEFT_CENTRALIZER,
-        IdentityKind.RIGHT_CENTRALIZER,
-    }
-)
+# ---------------------------------------------------------------------------
+# the identity table
+# ---------------------------------------------------------------------------
+#
+# A template is a pair (lhs terms, rhs terms) stating lhs = rhs.  A term is
+# (coefficient, map, shape) with map one of "f", "g", "h"; the shape places
+# the map M relative to the two arguments a and b.
+
+# shape -> (where, arg, other), reading (x_0, x_1) = (a, b):
+#   "apply":  M(x_arg x_other)
+#   "left":   M(x_arg) x_other
+#   "right":  x_other M(x_arg)
+SHAPES = {
+    "M(ab)": ("apply", 0, 1),
+    "M(ba)": ("apply", 1, 0),
+    "M(a)b": ("left", 0, 1),
+    "M(b)a": ("left", 1, 0),
+    "aM(b)": ("right", 1, 0),
+    "bM(a)": ("right", 0, 1),
+}
+
+# Left sides shared by several kinds: f(ab) and f(ab + ba).
+_F_AB = ((1, "f", "M(ab)"),)
+_F_AB_BA = ((1, "f", "M(ab)"), (1, "f", "M(ba)"))
+# D(ab) = D(a)b + aD(b); at a = b it is the square form D(a^2) = D(a)a + aD(a).
+_PRODUCT_RULE = (_F_AB, ((1, "f", "M(a)b"), (1, "f", "aM(b)")))
+
+IDENTITIES = {
+    IdentityKind.DERIVATION: (_PRODUCT_RULE,),
+    IdentityKind.JORDAN_DERIVATION: (
+        (_F_AB_BA, ((1, "f", "M(a)b"), (1, "f", "aM(b)"),
+                    (1, "f", "M(b)a"), (1, "f", "bM(a)"))),
+    ),
+    IdentityKind.LEFT_DERIVATION: ((_F_AB, ((1, "f", "aM(b)"), (1, "f", "bM(a)"))),),
+    IdentityKind.GH_DERIVATION: (
+        (_F_AB, ((1, "g", "M(a)b"), (1, "h", "aM(b)"))),
+        (_F_AB, ((1, "h", "M(a)b"), (1, "g", "aM(b)"))),
+    ),
+    IdentityKind.LEFT_GH: (
+        (_F_AB, ((1, "g", "aM(b)"), (1, "h", "bM(a)"))),
+        (_F_AB, ((1, "h", "aM(b)"), (1, "g", "bM(a)"))),
+    ),
+    # The factor 2 stays explicit: no division happens anywhere.
+    IdentityKind.JORDAN_LEFT_GH: ((_F_AB_BA, ((2, "g", "aM(b)"), (2, "h", "bM(a)"))),),
+    IdentityKind.LEFT_CENTRALIZER: ((_F_AB, ((1, "f", "M(a)b"),)),),
+    IdentityKind.RIGHT_CENTRALIZER: ((_F_AB, ((1, "f", "aM(b)"),)),),
+}
+
+# Quadratic kinds: the square form below on the diagonal, their polarized
+# templates in IDENTITIES for i < j, and nothing for i > j.
+SQUARE_FORMS = {IdentityKind.JORDAN_DERIVATION: _PRODUCT_RULE}
+
+
+def templates_at(kind: IdentityKind, i: int, j: int) -> tuple:
+    """The templates that hold at the ordered basis pair (i, j)."""
+    square = SQUARE_FORMS.get(kind)
+    if square is None or i < j:
+        return IDENTITIES[kind]
+    return (square,) if i == j else ()
 
 
 @dataclass(frozen=True)
@@ -115,6 +172,53 @@ class CheckReport:
         return doc
 
 
+def _evaluate(templates, t: MapTriple, x: tuple, keys: tuple, memo: dict) -> list:
+    """(lhs, rhs) of each template at the arguments x = (a, b).
+
+    Each map is applied once to the sum of its product arguments, and each
+    distinct coefficient scales its group of terms once.  Map images are
+    cached in ``memo`` under ``keys``, names for a and b, so a scan over
+    many basis pairs computes each of them once.
+    """
+
+    def cached(key, compute):
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
+
+    def image(name, arg):
+        return cached((name, keys[arg]), lambda: getattr(t, name)(x[arg]))
+
+    def applied(name, args):
+        # The sum of products does not depend on their order.
+        key = (name, tuple(sorted((keys[p], keys[q]) for p, q in args)))
+        return cached(key, lambda: getattr(t, name)(_sum([x[p] * x[q] for p, q in args])))
+
+    def side(terms):
+        groups: dict = {}  # coefficient -> (map -> its product args, other terms)
+        for coef, name, shape in terms:
+            products, parts = groups.setdefault(coef, ({}, []))
+            where, arg, other = SHAPES[shape]
+            if where == "apply":
+                products.setdefault(name, []).append((arg, other))
+            elif where == "left":
+                parts.append(image(name, arg) * x[other])
+            else:
+                parts.append(x[other] * image(name, arg))
+        sums = []
+        for coef, (products, parts) in groups.items():
+            acc = _sum([applied(name, args) for name, args in products.items()] + parts)
+            sums.append(acc if coef == 1 else acc.scale(coef))
+        return _sum(sums)
+
+    return [(side(lhs), side(rhs)) for lhs, rhs in templates]
+
+
+def _sum(elements: list) -> AlgElement:
+    return sum(elements[1:], elements[0])
+
+
 def identity_sides(
     kind: IdentityKind, t: MapTriple, a: AlgElement, b: AlgElement
 ) -> list[tuple[AlgElement, AlgElement]]:
@@ -124,38 +228,7 @@ def identity_sides(
     identity this is the polarized two-argument form; the checker applies
     the plain square form on the diagonal separately.
     """
-    f, g, h = t.f, t.g, t.h
-    if kind is IdentityKind.DERIVATION:
-        return [(f(a * b), f(a) * b + a * f(b))]
-    if kind is IdentityKind.JORDAN_DERIVATION:
-        return [(f(jordan_product(a, b)), f(a) * b + a * f(b) + f(b) * a + b * f(a))]
-    if kind is IdentityKind.LEFT_DERIVATION:
-        return [(f(a * b), a * f(b) + b * f(a))]
-    if kind is IdentityKind.GH_DERIVATION:
-        ab = a * b
-        return [
-            (f(ab), g(a) * b + a * h(b)),
-            (f(ab), h(a) * b + a * g(b)),
-        ]
-    if kind is IdentityKind.LEFT_GH:
-        ab = a * b
-        return [
-            (f(ab), a * g(b) + b * h(a)),
-            (f(ab), a * h(b) + b * g(a)),
-        ]
-    if kind is IdentityKind.JORDAN_LEFT_GH:
-        # The factor 2 stays explicit: no division happens anywhere.
-        return [(f(jordan_product(a, b)), (a * g(b) + b * h(a)).scale(2))]
-    if kind is IdentityKind.LEFT_CENTRALIZER:
-        return [(f(a * b), f(a) * b)]
-    if kind is IdentityKind.RIGHT_CENTRALIZER:
-        return [(f(a * b), a * f(b))]
-    raise ValueError(f"unhandled identity kind: {kind}")
-
-
-def _square_sides(t: MapTriple, a: AlgElement) -> tuple[AlgElement, AlgElement]:
-    f = t.f
-    return f(a * a), f(a) * a + a * f(a)
+    return _evaluate(IDENTITIES[kind], t, (a, b), (0, 1), {})
 
 
 def sides_at_pair(
@@ -168,22 +241,26 @@ def sides_at_pair(
     nothing for i > j.
     """
     alg = t.alg
-    a, b = alg.basis_element(i), alg.basis_element(j)
-    if kind is IdentityKind.JORDAN_DERIVATION:
-        if i == j:
-            return [_square_sides(t, a)]
-        if i > j:
-            return []
-    return identity_sides(kind, t, a, b)
+    x = (alg.basis_element(i), alg.basis_element(j))
+    return _evaluate(templates_at(kind, i, j), t, x, (i, j), {})
 
 
 def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
-    """Scan all ordered basis pairs in lexicographic order; first failure wins."""
+    """Scan all ordered basis pairs in lexicographic order; first failure wins.
+
+    One memo serves the whole scan, so each image of a basis vector, or of
+    a sum of basis products, is computed once.
+    """
     alg = t.alg
-    d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            for lhs, rhs in sides_at_pair(kind, t, i, j):
+    basis: dict[int, AlgElement] = {}
+    memo: dict = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in (i, j):
+                if k not in basis:
+                    basis[k] = alg.basis_element(k)
+            x = (basis[i], basis[j])
+            for lhs, rhs in _evaluate(templates_at(kind, i, j), t, x, (i, j), memo):
                 if lhs.coords != rhs.coords:
                     return CheckReport(False, Counterexample(i, j, lhs, rhs))
     return CheckReport(True)

@@ -26,10 +26,6 @@ __all__ = [
     "RingMismatch",
     "NotAUnit",
     "CompositeModulusUnsupported",
-    "add",
-    "mul",
-    "inv_unit",
-    "two_torsion_free",
 ]
 
 
@@ -286,23 +282,3 @@ class Scalar:
                 f"literal {text!r} names modulus {m.group(2)}, ring has {ring.m}"
             )
         return Scalar(ring, int(m.group(1)))
-
-
-# Module-level names for the core ring operations.  The dunder operators on
-# Scalar are the idiomatic surface; these aliases keep the operation set
-# greppable and give the docs something stable to point at.
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def inv_unit(x: Scalar) -> Scalar:
-    return x.inv()
-
-
-def two_torsion_free(spec: RingSpec) -> bool:
-    return spec.two_torsion_free()

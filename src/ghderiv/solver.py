@@ -1,13 +1,15 @@
 """Exact linear solver for identity constraints on map triples.
 
 Any identity kind compiles into a homogeneous linear system over the
-3d^2 unknown matrix entries of (f, g, h).  Unknown order is fixed: the f
-block, then g, then h; inside a block, column-major (all coordinates of
-the image of e_0, then of e_1, ...).  Rows are emitted in the fixed order
-(i, j, coordinate, template) over ordered basis pairs, followed by any
-constraint rows.  With layout and pivot order fixed, the reduced echelon
-form of the solution space is unique, so solution spaces can be compared
-by comparing matrices.
+3d^2 unknown matrix entries of (f, g, h).  The compiler reads each kind
+from the identity table in ``identities`` (through ``templates_at``), the
+same table the checkers evaluate, so rows and checkers state one identity.
+Unknown order is fixed: the f block, then g, then h; inside a block,
+column-major (all coordinates of the image of e_0, then of e_1, ...).
+Rows are emitted in the fixed order (i, j, coordinate, template) over
+ordered basis pairs, followed by any constraint rows.  With layout and
+pivot order fixed, the reduced echelon form of the solution space is
+unique, so solution spaces can be compared by comparing matrices.
 
 Solving needs a field-like ring (Q or prime modulus): composite moduli
 raise CompositeModulusUnsupported.  The identity checkers keep working
@@ -72,16 +74,12 @@ class Constraints:
         return ", ".join(parts) if parts else "none"
 
 
-def _fcol(d: int, j: int, i: int) -> int:
-    return j * d + i
+_BLOCKS = {"f": 0, "g": 1, "h": 2}
 
 
-def _gcol(d: int, j: int, i: int) -> int:
-    return d * d + j * d + i
-
-
-def _hcol(d: int, j: int, i: int) -> int:
-    return 2 * d * d + j * d + i
+def _col(d: int, name: str, j: int, i: int) -> int:
+    """The unknown for entry (i, j) of the map named ``name``."""
+    return _BLOCKS[name] * d * d + j * d + i
 
 
 def triple_to_vec(t: MapTriple) -> list[Scalar]:
@@ -151,108 +149,53 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
     """Yield the identity rows in (i, j, coordinate, template) order.
 
     Each row states that one output coordinate of one template instance at
-    one ordered basis pair vanishes.  The square identity emits its basis
-    form on the diagonal and the polarized form for i < j only.
+    one ordered basis pair vanishes: lhs terms enter with their
+    coefficient, rhs terms negated.  The templates are read from the
+    identity table through ``identities.templates_at``, so the square
+    identity emits its basis form on the diagonal and the polarized form
+    for i < j only.  Every row is yielded, also an empty one.
     """
     d = alg.dim
     ring = alg.ring
-    zero = ring.zero()
-    two = ring.scalar(2)
     table = alg._pair_table
-    L = alg._left_action
-    R = alg._right_action
-
-    def add(row, col, val):
-        cur = row.get(col, zero) + val
-        if cur.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = cur
-
-    def f_term(row, pairs, m, sign=1):
-        # f applied to a product with expansion ``pairs`` = [(k, c)].
-        for k, c in pairs:
-            add(row, _fcol(d, k, m), c if sign > 0 else -c)
-
-    def action_term(row, action_row, colf, target, weight):
-        # weight * (basis-multiplication of column ``target`` of map block).
-        for l, c in action_row:
-            add(row, colf(d, target, l), weight * c)
-
-    K = IdentityKind
+    # An image M(e_p) times e_q on its right is read off the right action
+    # of e_q; times e_q on its left, off the left action.
+    actions = {"left": alg._right_action, "right": alg._left_action}
     for i in range(d):
         for j in range(d):
-            jordan_pairs = None
-            if kind in (K.JORDAN_LEFT_GH, K.JORDAN_DERIVATION):
-                jordan_pairs = list(table[i][j]) + list(table[j][i])
+            x = (i, j)
+            blocks = []
+            for lhs, rhs in identities.templates_at(kind, i, j):
+                rows = [{} for _ in range(d)]
+                signed = list(lhs) + [(-coef, name, shape) for coef, name, shape in rhs]
+                for coef, name, shape in signed:
+                    where, arg, other = identities.SHAPES[shape]
+                    if where == "apply":
+                        # M(e_k) for each e_k in the product; unknown M[m][k].
+                        for k, c in table[x[arg]][x[other]]:
+                            for m in range(d):
+                                col = _col(d, name, k, m)
+                                rows[m][col] = rows[m].get(col, 0) + coef * c.value
+                        continue
+                    # Unknown M[l][x_arg] meets e_l times e_{x_other}.
+                    base = _col(d, name, x[arg], 0)
+                    for m, action in enumerate(actions[where][x[other]]):
+                        row = rows[m]
+                        for l, c in action:
+                            row[base + l] = row.get(base + l, 0) + coef * c.value
+                blocks.append([_scalar_row(ring, row) for row in rows])
             for m in range(d):
-                if kind is K.DERIVATION:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, R[j][m], _fcol, i, -ring.one())
-                    action_term(row, L[i][m], _fcol, j, -ring.one())
-                    yield row
-                elif kind is K.JORDAN_DERIVATION:
-                    if i == j:
-                        row = {}
-                        f_term(row, table[i][i], m)
-                        action_term(row, R[i][m], _fcol, i, -ring.one())
-                        action_term(row, L[i][m], _fcol, i, -ring.one())
-                        yield row
-                    elif i < j:
-                        row = {}
-                        f_term(row, jordan_pairs, m)
-                        action_term(row, R[j][m], _fcol, i, -ring.one())
-                        action_term(row, L[i][m], _fcol, j, -ring.one())
-                        action_term(row, R[i][m], _fcol, j, -ring.one())
-                        action_term(row, L[j][m], _fcol, i, -ring.one())
-                        yield row
-                elif kind is K.LEFT_DERIVATION:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, L[i][m], _fcol, j, -ring.one())
-                    action_term(row, L[j][m], _fcol, i, -ring.one())
-                    yield row
-                elif kind is K.GH_DERIVATION:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, R[j][m], _gcol, i, -ring.one())
-                    action_term(row, L[i][m], _hcol, j, -ring.one())
-                    yield row
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, R[j][m], _hcol, i, -ring.one())
-                    action_term(row, L[i][m], _gcol, j, -ring.one())
-                    yield row
-                elif kind is K.LEFT_GH:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, L[i][m], _gcol, j, -ring.one())
-                    action_term(row, L[j][m], _hcol, i, -ring.one())
-                    yield row
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, L[i][m], _hcol, j, -ring.one())
-                    action_term(row, L[j][m], _gcol, i, -ring.one())
-                    yield row
-                elif kind is K.JORDAN_LEFT_GH:
-                    row = {}
-                    f_term(row, jordan_pairs, m)
-                    action_term(row, L[i][m], _gcol, j, -two)
-                    action_term(row, L[j][m], _hcol, i, -two)
-                    yield row
-                elif kind is K.LEFT_CENTRALIZER:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, R[j][m], _fcol, i, -ring.one())
-                    yield row
-                elif kind is K.RIGHT_CENTRALIZER:
-                    row = {}
-                    f_term(row, table[i][j], m)
-                    action_term(row, L[i][m], _fcol, j, -ring.one())
-                    yield row
-                else:
-                    raise ValueError(f"unhandled identity kind: {kind}")
+                for rows in blocks:
+                    yield rows[m]
+
+
+def _scalar_row(ring, raw: dict) -> dict:
+    row = {}
+    for col, v in raw.items():
+        s = Scalar(ring, v)
+        if not s.is_zero():
+            row[col] = s
+    return row
 
 
 def build_system(
@@ -268,16 +211,16 @@ def build_system(
     if cons.force_g_eq_h:
         for j in range(d):
             for i in range(d):
-                rows.append({_gcol(d, j, i): one, _hcol(d, j, i): -one})
+                rows.append({_col(d, "g", j, i): one, _col(d, "h", j, i): -one})
     if cons.force_f_zero:
         for j in range(d):
             for i in range(d):
-                rows.append({_fcol(d, j, i): one})
+                rows.append({_col(d, "f", j, i): one})
     for c in cons.f_zero_basis:
         if not 0 <= c < d:
             raise ValueError(f"basis index {c} out of range")
         for m in range(d):
-            rows.append({_fcol(d, c, m): one})
+            rows.append({_col(d, "f", c, m): one})
     return LinearSystem(
         alg=alg, kind=kind, constraints=cons, rows=tuple(rows), ncols=3 * d * d
     )

@@ -94,6 +94,22 @@ def test_every_detail_is_informative(catalog_report):
         assert r.detail.strip(), f"{r.id} has an empty detail line"
 
 
+def test_polylift_counts_the_triples_it_checks(catalog_report):
+    # The one-sided spaces on M2 and the quaternions are 0: every random
+    # draw there is the zero triple, which is checked once, not 50 times.
+    details = {r.id: r.detail for r in catalog_report.results}
+    claims = {e.id: e.claim for e in entries()}
+    for spec in ("tn2", "mn2", "quat"):
+        for kind in ("jordan-left-gh", "left-gh"):
+            eid = f"polylift-{spec}-{kind}"
+            if kind == "left-gh" and spec != "tn2":
+                assert details[eid].startswith("1 triple checked: the space is 0")
+                assert "the zero triple, the only solution (1 triple)" in claims[eid]
+            else:
+                assert details[eid].startswith("50 distinct seeded random solutions;")
+                assert "50 distinct seeded random solutions" in claims[eid]
+
+
 # ---------------------------------------------------------------------------
 # filtering and determinism
 # ---------------------------------------------------------------------------

@@ -304,12 +304,40 @@ def test_system_shape_and_doc():
     assert all(len(r) == 27 for r in doc["rows"])
 
 
+def _random_triple(alg, rng):
+    def rand_map():
+        return LinMap.from_rows(
+            alg, [[rng.randint(-3, 3) for _ in range(alg.dim)] for _ in range(alg.dim)]
+        )
+    return MapTriple(rand_map(), rand_map(), rand_map())
+
+
 def test_system_evaluate(solved):
+    """The compiled rows and the checker read one identity table, so for
+    every kind they agree on solutions and on random triples that fail."""
     sp = solved("tn2", LGH)
     sys = build_system(sp.alg, LGH)
     for t in sp.basis:
         assert sys.evaluate(t)
     assert not sys.evaluate(MapTriple(*[LinMap.identity(sp.alg)] * 3))
+    rng = random.Random(2024)
+    for kind in IdentityKind:
+        failing = 0
+        for spec, ring in (("tn2", QQ), ("mn2", QQ), ("quat", QQ), ("ring", Zmod(5)),
+                           ("poly(ring,1)", QQ)):
+            sp = solved(spec, kind, ring=ring)
+            sys = build_system(sp.alg, kind)
+            holding = list(sp.basis)
+            if sp.dim:
+                holding.append(sp.combination([rng.randint(-5, 5) for _ in range(sp.dim)]))
+            for t in holding:
+                assert sys.evaluate(t) and check(kind, t).holds, (spec, kind)
+            for _ in range(4):
+                t = _random_triple(sp.alg, rng)
+                holds = check(kind, t).holds
+                assert sys.evaluate(t) == holds, (spec, kind)
+                failing += not holds
+        assert failing, f"no random triple fails {kind.value}"
 
 
 def test_square_identity_system_row_count():
