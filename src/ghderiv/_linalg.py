@@ -1,9 +1,9 @@
 """Sparse exact Gaussian elimination over Q or a prime modulus.
 
-Rows are dicts mapping column index to a nonzero raw value: ``Fraction``
-over the rationals, plain ``int`` residues over Z/pZ.  Working on raw
-values keeps the hot loop free of wrapper overhead; callers wrap results
-back into :class:`~ghderiv.ring.Scalar` at the boundary.
+Rows are dicts mapping column index to a nonzero raw value of the ring
+(see :mod:`ghderiv.ring`): ``int`` or ``Fraction`` over the rationals,
+``int`` residues over Z/pZ.  The ring supplies reduction and inversion;
+the values themselves are the ones every other layer stores.
 
 The reduced row echelon form of a set of rows is unique, independent of
 row order, which is what makes canonical subspace comparison and
@@ -13,81 +13,22 @@ order, first nonzero wins.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ring import CompositeModulusUnsupported, RingSpec
 
 
-class RationalOps:
-    """Field operations on raw Fraction values."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+def _subtract(row: dict, coef, pivrow: dict, pivot: int, reduce) -> None:
+    """row -= coef * pivrow outside the pivot column, dropping zeros."""
+    for k, v in pivrow.items():
+        if k == pivot:
+            continue
+        nv = reduce(row.get(k, 0) - coef * v)
+        if nv:
+            row[k] = nv
+        else:
+            row.pop(k, None)
 
 
-class PrimeOps:
-    """Field operations on int residues mod a prime p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
-def ops_for(ring: RingSpec):
-    """Field operations for the ring, or CompositeModulusUnsupported."""
-    if ring.kind == "Q":
-        return RationalOps()
-    if not ring.is_field():
-        raise CompositeModulusUnsupported(
-            f"exact elimination over {ring} needs a prime modulus"
-        )
-    return PrimeOps(ring.m)
-
-
-def _reduce_against(row: dict, pivrows: dict, ops) -> dict:
+def _reduce_against(row: dict, pivrows: dict, reduce) -> dict:
     """Eliminate every pivot column present in ``row``; returns the residual.
 
     Pivot rows are fully reduced against each other, so subtracting a pivot
@@ -96,49 +37,38 @@ def _reduce_against(row: dict, pivrows: dict, ops) -> dict:
     """
     for c in sorted(k for k in row if k in pivrows):
         coef = row.pop(c, None)
-        if coef is None or ops.is_zero(coef):
-            continue
-        for k, v in pivrows[c].items():
-            if k == c:
-                continue
-            nv = ops.sub(row.get(k, ops.zero), ops.mul(coef, v))
-            if ops.is_zero(nv):
-                row.pop(k, None)
-            else:
-                row[k] = nv
+        if coef:
+            _subtract(row, coef, pivrows[c], c, reduce)
     return row
 
 
-def rref(rows, ops):
+def rref(rows, ring: RingSpec):
     """Reduced row echelon form of an iterable of sparse rows.
 
     Returns ``(echelon, pivots)`` where ``echelon`` is a list of fully
     reduced rows sorted by pivot column (each with a 1 in its pivot) and
-    ``pivots`` maps pivot column to row index in ``echelon``.
+    ``pivots`` maps pivot column to row index in ``echelon``.  Raises
+    CompositeModulusUnsupported unless the ring is a field.
     """
+    if not ring.is_field():
+        raise CompositeModulusUnsupported(
+            f"exact elimination over {ring} needs a prime modulus"
+        )
+    reduce = ring.reduce
     pivrows: dict[int, dict] = {}
     for row in rows:
-        r = _reduce_against(dict(row), pivrows, ops)
+        r = _reduce_against(dict(row), pivrows, reduce)
         if not r:
             continue
         c = min(r)
-        inv = ops.inv(r[c])
-        r = {k: ops.mul(v, inv) for k, v in r.items()}
-        r[c] = ops.one
+        inv = ring.inv(r[c])
+        r = {k: reduce(v * inv) for k, v in r.items()}
+        r[c] = 1
         # Keep full reduction: clear the new pivot column out of older rows.
         for other in pivrows.values():
-            coef = other.get(c)
-            if coef is None or ops.is_zero(coef):
-                continue
-            del other[c]
-            for k, v in r.items():
-                if k == c:
-                    continue
-                nv = ops.sub(other.get(k, ops.zero), ops.mul(coef, v))
-                if ops.is_zero(nv):
-                    other.pop(k, None)
-                else:
-                    other[k] = nv
+            coef = other.pop(c, None)
+            if coef:
+                _subtract(other, coef, r, c, reduce)
         pivrows[c] = r
     cols = sorted(pivrows)
     echelon = [pivrows[c] for c in cols]
@@ -146,7 +76,7 @@ def rref(rows, ops):
     return echelon, pivots
 
 
-def nullspace(echelon, pivots, ncols: int, ops):
+def nullspace(echelon, pivots, ncols: int, ring: RingSpec):
     """Basis of the solution set of the homogeneous system, one vector per
     free column, in ascending free-column order."""
     pivot_set = set(pivots)
@@ -154,16 +84,16 @@ def nullspace(echelon, pivots, ncols: int, ops):
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = {fc: ops.one}
+        v = {fc: 1}
         for pc, idx in pivots.items():
             coef = echelon[idx].get(fc)
-            if coef is not None and not ops.is_zero(coef):
-                v[pc] = ops.neg(coef)
+            if coef:
+                v[pc] = ring.reduce(-coef)
         basis.append(v)
     return basis
 
 
-def residual(vec: dict, echelon, pivots, ops) -> dict:
+def residual(vec: dict, echelon, pivots, ring: RingSpec) -> dict:
     """Remainder of ``vec`` after elimination against an echelon row set."""
     pivrows = {c: echelon[i] for c, i in pivots.items()}
-    return _reduce_against(dict(vec), pivrows, ops)
+    return _reduce_against(dict(vec), pivrows, ring.reduce)

@@ -3,6 +3,9 @@
 An algebra here is a free module of finite rank over a coefficient ring
 (Q or Z/mZ) with a bilinear product recorded as a dense table
 ``sc[i][j][k]``, the coefficient of basis vector ``e_k`` in ``e_i * e_j``.
+Structure constants and element coordinates are raw ring values (``int``
+or ``Fraction`` over Q, ``int`` residues over Z/mZ; see ``ring``), coerced
+once when an algebra or element is built from outside input.
 Everything downstream (maps, identity checks, linear systems) reads the
 product exclusively through this table, so checking a bilinear identity on
 all ordered basis pairs checks it on the whole algebra.
@@ -23,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ring import QQ, CompositeModulusUnsupported, RingMismatch, RingSpec, Scalar
+from .ring import QQ, RingMismatch, RingSpec
 from . import _linalg
 
 __all__ = [
@@ -62,20 +65,28 @@ class StructureAlgebra:
     """A structure-constant algebra over an exact coefficient ring.
 
     ``sc[i][j][k]`` is the coefficient of ``e_k`` in ``e_i * e_j`` and
-    ``unity`` holds the coordinates of the multiplicative identity.
-    Instances are immutable; equality is structural (ring, dimension,
-    labels, table, unity) so separately built copies compare equal.
+    ``unity`` holds the coordinates of the multiplicative identity; both
+    are coerced into raw values of ``ring`` on construction.  Instances
+    are immutable; equality is structural (ring, dimension, labels, table,
+    unity) so separately built copies compare equal, and hash equal.
     """
 
     ring: RingSpec
     dim: int
     labels: tuple[str, ...]
     sc: tuple
-    unity: tuple[Scalar, ...]
+    unity: tuple
     # Set by tensor_product so coordinate extraction can recover the factors.
     # Deliberately excluded from equality: a tensor algebra and a structurally
     # identical hand-built table are the same algebra.
     factors: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        coerce = self.ring.coerce
+        object.__setattr__(self, "sc", tuple(
+            tuple(tuple(map(coerce, cell)) for cell in row) for row in self.sc
+        ))
+        object.__setattr__(self, "unity", tuple(map(coerce, self.unity)))
 
     def __eq__(self, other):
         if self is other:
@@ -91,7 +102,7 @@ class StructureAlgebra:
         )
 
     def __hash__(self):
-        return object.__hash__(self)
+        return hash((self.ring, self.dim, self.labels))
 
     # -- cached product views ---------------------------------------------
 
@@ -100,7 +111,7 @@ class StructureAlgebra:
         """pair_table[i][j] = tuple of (k, c) with c = sc[i][j][k] nonzero."""
         return tuple(
             tuple(
-                tuple((k, c) for k, c in enumerate(self.sc[i][j]) if not c.is_zero())
+                tuple((k, c) for k, c in enumerate(self.sc[i][j]) if c)
                 for j in range(self.dim)
             )
             for i in range(self.dim)
@@ -136,58 +147,51 @@ class StructureAlgebra:
     # -- elements -----------------------------------------------------------
 
     def element(self, coords) -> "AlgElement":
-        vals = tuple(self.ring.scalar(c) for c in coords)
+        vals = tuple(map(self.ring.coerce, coords))
         if len(vals) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(vals)}")
         return AlgElement(self, vals)
 
     def basis_element(self, i: int) -> "AlgElement":
-        one = self.ring.one()
-        zero = self.ring.zero()
-        return AlgElement(
-            self, tuple(one if k == i else zero for k in range(self.dim))
-        )
+        return AlgElement(self, tuple(int(k == i) for k in range(self.dim)))
 
     def zero(self) -> "AlgElement":
-        z = self.ring.zero()
-        return AlgElement(self, (z,) * self.dim)
+        return AlgElement(self, (0,) * self.dim)
 
     def one(self) -> "AlgElement":
         return AlgElement(self, self.unity)
 
     # -- products on raw coordinate tuples ----------------------------------
 
-    def mul_basis_vec(self, i: int, coords) -> tuple[Scalar, ...]:
+    def mul_basis_vec(self, i: int, coords) -> tuple:
         """Coordinates of e_i * v for a coordinate vector v."""
-        acc = [self.ring.zero()] * self.dim
+        acc = [0] * self.dim
         for l, cl in enumerate(coords):
-            if cl.is_zero():
-                continue
-            for k, c in self._pair_table[i][l]:
-                acc[k] = acc[k] + cl * c
-        return tuple(acc)
+            if cl:
+                for k, c in self._pair_table[i][l]:
+                    acc[k] += cl * c
+        return tuple(map(self.ring.reduce, acc))
 
-    def mul_vec_basis(self, coords, j: int) -> tuple[Scalar, ...]:
+    def mul_vec_basis(self, coords, j: int) -> tuple:
         """Coordinates of v * e_j for a coordinate vector v."""
-        acc = [self.ring.zero()] * self.dim
+        acc = [0] * self.dim
         for l, cl in enumerate(coords):
-            if cl.is_zero():
-                continue
-            for k, c in self._pair_table[l][j]:
-                acc[k] = acc[k] + cl * c
-        return tuple(acc)
+            if cl:
+                for k, c in self._pair_table[l][j]:
+                    acc[k] += cl * c
+        return tuple(map(self.ring.reduce, acc))
 
-    def mul_vec_vec(self, a, b) -> tuple[Scalar, ...]:
-        acc = [self.ring.zero()] * self.dim
+    def mul_vec_vec(self, a, b) -> tuple:
+        acc = [0] * self.dim
         for i, ai in enumerate(a):
-            if ai.is_zero():
+            if not ai:
                 continue
+            row = self._pair_table[i]
             for j, bj in enumerate(b):
-                if bj.is_zero():
-                    continue
-                for k, c in self._pair_table[i][j]:
-                    acc[k] = acc[k] + ai * bj * c
-        return tuple(acc)
+                if bj:
+                    for k, c in row[j]:
+                        acc[k] += ai * bj * c
+        return tuple(map(self.ring.reduce, acc))
 
     def __str__(self) -> str:
         return f"<algebra dim {self.dim} over {self.ring}>"
@@ -199,10 +203,10 @@ def _same_algebra(a: StructureAlgebra, b: StructureAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class AlgElement:
-    """An element of a structure-constant algebra, stored by coordinates."""
+    """An element of a structure-constant algebra, stored by raw coordinates."""
 
     alg: StructureAlgebra
-    coords: tuple[Scalar, ...]
+    coords: tuple
 
     def _check(self, other: "AlgElement") -> None:
         if not isinstance(other, AlgElement):
@@ -210,20 +214,19 @@ class AlgElement:
         if not _same_algebra(self.alg, other.alg):
             raise AlgebraMismatch("elements live in different algebras")
 
+    def _make(self, raw) -> "AlgElement":
+        return AlgElement(self.alg, tuple(map(self.alg.ring.reduce, raw)))
+
     def __add__(self, other):
         self._check(other)
-        return AlgElement(
-            self.alg, tuple(x + y for x, y in zip(self.coords, other.coords))
-        )
+        return self._make(x + y for x, y in zip(self.coords, other.coords))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElement(
-            self.alg, tuple(x - y for x, y in zip(self.coords, other.coords))
-        )
+        return self._make(x - y for x, y in zip(self.coords, other.coords))
 
     def __neg__(self):
-        return AlgElement(self.alg, tuple(-x for x in self.coords))
+        return self._make(-x for x in self.coords)
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
@@ -238,17 +241,18 @@ class AlgElement:
         return self.scale(other)
 
     def scale(self, c) -> "AlgElement":
-        s = self.alg.ring.scalar(c)
-        return AlgElement(self.alg, tuple(s * x for x in self.coords))
+        s = self.alg.ring.coerce(c)
+        return self._make(s * x for x in self.coords)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
+        return not any(self.coords)
 
     def __str__(self) -> str:
+        fmt = self.alg.ring.format
         parts = []
         for lab, c in zip(self.alg.labels, self.coords):
-            if not c.is_zero():
-                parts.append(f"({c})*{lab}")
+            if c:
+                parts.append(f"({fmt(c)})*{lab}")
         return " + ".join(parts) if parts else "0"
 
 
@@ -263,11 +267,10 @@ def jordan_product(a: AlgElement, b: AlgElement) -> AlgElement:
 
 
 def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
-    """Assemble a dense sc table from a sparse {(i,j,k): Scalar} dict."""
-    zero = ring.zero()
+    """Assemble a dense sc table from a sparse {(i,j,k): value} dict."""
     sc = tuple(
         tuple(
-            tuple(entries.get((i, j, k), zero) for k in range(dim))
+            tuple(entries.get((i, j, k), 0) for k in range(dim))
             for j in range(dim)
         )
         for i in range(dim)
@@ -286,16 +289,14 @@ def full_matrix(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     """The algebra of n x n matrices; basis e_ij in row-major order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    one = ring.one()
-    zero = ring.zero()
     dim = n * n
     idx = lambda i, j: i * n + j
     entries = {}
     for a, b, c, d in itertools.product(range(n), repeat=4):
         if b == c:
-            entries[(idx(a, b), idx(c, d), idx(a, d))] = one
+            entries[(idx(a, b), idx(c, d), idx(a, d))] = 1
     labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    unity = [one if i % (n + 1) == 0 else zero for i in range(dim)]
+    unity = [int(i % (n + 1) == 0) for i in range(dim)]
     return _build(ring, labels, entries, unity, dim)
 
 
@@ -309,39 +310,34 @@ def upper_triangular(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     """The algebra of upper triangular n x n matrices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    one = ring.one()
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
     dim = len(positions)
     entries = {}
     for (a, b), (c, d) in itertools.product(positions, repeat=2):
         if b == c:
-            entries[(pos_index[(a, b)], pos_index[(c, d)], pos_index[(a, d)])] = one
+            entries[(pos_index[(a, b)], pos_index[(c, d)], pos_index[(a, d)])] = 1
     labels = [f"e{i + 1}{j + 1}" for i, j in positions]
-    unity = [one if i == j else ring.zero() for i, j in positions]
+    unity = [int(i == j) for i, j in positions]
     return _build(ring, labels, entries, unity, dim)
 
 
 def quaternions() -> StructureAlgebra:
     """The rational quaternions with basis (1, i, j, k)."""
-    ring = QQ
-    one = ring.one()
-    neg = -one
     # (index, sign) of each basis product, rows are 1, i, j, k.
     prod = {
-        (0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
-        (1, 0): (1, one), (1, 1): (0, neg), (1, 2): (3, one), (1, 3): (2, neg),
-        (2, 0): (2, one), (2, 1): (3, neg), (2, 2): (0, neg), (2, 3): (1, one),
-        (3, 0): (3, one), (3, 1): (2, one), (3, 2): (1, neg), (3, 3): (0, neg),
+        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
+        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
+        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
     }
     entries = {(i, j, k): c for (i, j), (k, c) in prod.items()}
-    unity = [one, ring.zero(), ring.zero(), ring.zero()]
-    return _build(ring, ["1", "i", "j", "k"], entries, unity, 4)
+    return _build(QQ, ["1", "i", "j", "k"], entries, [1, 0, 0, 0], 4)
 
 
 def ring_as_algebra(ring: RingSpec) -> StructureAlgebra:
     """The coefficient ring itself, viewed as a rank-1 algebra."""
-    return _build(ring, ["1"], {(0, 0, 0): ring.one()}, [ring.one()], 1)
+    return _build(ring, ["1"], {(0, 0, 0): 1}, [1], 1)
 
 
 def tensor_product(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -400,7 +396,7 @@ def truncated_poly(a: StructureAlgebra, degree: int) -> StructureAlgebra:
                     for k, c in a._pair_table[i][j]:
                         entries[(s * d + i, t * d + j, (s + t) * d + k)] = c
     labels = [_poly_label(lab, t) for t in range(degree + 1) for lab in a.labels]
-    unity = list(a.unity) + [a.ring.zero()] * (dim - d)
+    unity = list(a.unity) + [0] * (dim - d)
     return _build(a.ring, labels, entries, unity, dim)
 
 
@@ -426,26 +422,24 @@ def validate(alg: StructureAlgebra) -> ValidationReport:
     the first basis index where 1 * e_i or e_i * 1 goes wrong.
     """
     d = alg.dim
-    zero = alg.ring.zero()
     table = alg._pair_table
     for i in range(d):
         for j in range(d):
             left = table[i][j]
             for k in range(d):
-                acc = [zero] * d
+                acc = [0] * d
                 for m, c in left:
                     for t, c2 in table[m][k]:
-                        acc[t] = acc[t] + c * c2
+                        acc[t] += c * c2
                 for m, c in table[j][k]:
                     for t, c2 in table[i][m]:
-                        acc[t] = acc[t] - c * c2
-                if any(not v.is_zero() for v in acc):
+                        acc[t] -= c * c2
+                if any(map(alg.ring.reduce, acc)):
                     return ValidationReport(False, assoc_failure=(i, j, k))
-    one = alg.ring.one()
     for i in range(d):
         lhs = alg.mul_vec_basis(alg.unity, i)
         rhs = alg.mul_basis_vec(i, alg.unity)
-        want = tuple(one if k == i else zero for k in range(d))
+        want = alg.basis_element(i).coords
         if lhs != want or rhs != want:
             return ValidationReport(False, unity_failure=i)
     return ValidationReport(True)
@@ -466,28 +460,27 @@ def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
     Needs a field-like ring (Q or prime modulus) for the elimination;
     composite moduli raise CompositeModulusUnsupported.
     """
-    ops = _linalg.ops_for(alg.ring)
+    ring = alg.ring
     d = alg.dim
     rows = []
     for i in range(d):
         for m in range(d):
             row = {}
             for l, c in alg._right_action[i][m]:
-                row[l] = row.get(l, alg.ring.zero()) + c
+                row[l] = row.get(l, 0) + c
             for l, c in alg._left_action[i][m]:
-                row[l] = row.get(l, alg.ring.zero()) - c
-            raw = {k: v.value for k, v in row.items() if not v.is_zero()}
-            if raw:
-                rows.append(raw)
-    echelon, pivots = _linalg.rref(rows, ops)
-    basis = _linalg.nullspace(echelon, pivots, d, ops)
-    can, _ = _linalg.rref(basis, ops)
+                row[l] = row.get(l, 0) - c
+            row = {k: r for k, v in row.items() if (r := ring.reduce(v))}
+            if row:
+                rows.append(row)
+    echelon, pivots = _linalg.rref(rows, ring)
+    basis = _linalg.nullspace(echelon, pivots, d, ring)
+    can, _ = _linalg.rref(basis, ring)
     out = []
-    zero = alg.ring.zero()
     for row in can:
-        coords = [zero] * d
+        coords = [0] * d
         for c, v in row.items():
-            coords[c] = Scalar(alg.ring, v)
+            coords[c] = v
         out.append(AlgElement(alg, tuple(coords)))
     return out
 
@@ -498,13 +491,14 @@ def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
 
 
 def algebra_to_doc(alg: StructureAlgebra) -> dict:
+    fmt = alg.ring.format
     return {
         "ring": alg.ring.to_doc(),
         "dim": alg.dim,
         "labels": list(alg.labels),
-        "unity": [str(c) for c in alg.unity],
+        "unity": [fmt(c) for c in alg.unity],
         "sc": [
-            [[str(c) for c in alg.sc[i][j]] for j in range(alg.dim)]
+            [[fmt(c) for c in alg.sc[i][j]] for j in range(alg.dim)]
             for i in range(alg.dim)
         ],
     }
@@ -520,10 +514,10 @@ def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
         ring = RingSpec.from_doc(doc["ring"])
         dim = int(doc["dim"])
         labels = tuple(str(x) for x in doc["labels"])
-        unity = tuple(Scalar.parse(str(x), ring) for x in doc["unity"])
+        unity = tuple(ring.parse(str(x)) for x in doc["unity"])
         sc = tuple(
             tuple(
-                tuple(Scalar.parse(str(doc["sc"][i][j][k]), ring) for k in range(dim))
+                tuple(ring.parse(str(doc["sc"][i][j][k])) for k in range(dim))
                 for j in range(dim)
             )
             for i in range(dim)

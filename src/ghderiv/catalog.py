@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .ring import QQ, CompositeModulusUnsupported, RingSpec, Scalar, Zmod
+from .ring import QQ, CompositeModulusUnsupported, RingSpec, Zmod
 from . import algebra as alg_mod
 from .algebra import (
     AlgElement,
@@ -126,11 +126,16 @@ class RunReport:
 
 
 class Context:
-    """Memoizes algebras and verified solution spaces across entries."""
+    """Memoizes algebras and verified solution spaces across entries.
+
+    ``spaces`` maps (algebra, kind, constraints) to a solved space that
+    passed ``verify_space``; algebras key by structure, so equal copies
+    share one entry.
+    """
 
     def __init__(self):
         self._algebras: dict = {}
-        self._spaces: dict = {}
+        self.spaces: dict = {}
 
     def alg(self, spec: str, ring: RingSpec = QQ) -> StructureAlgebra:
         key = (spec, ring)
@@ -140,15 +145,15 @@ class Context:
 
     def space(self, a: StructureAlgebra, kind: IdentityKind,
               constraints: Constraints | None = None):
-        key = (id(a), kind, constraints or Constraints())
-        if key not in self._spaces:
+        key = (a, kind, constraints or Constraints())
+        if key not in self.spaces:
             sp = solver.solve(a, kind, constraints)
             require(
                 solver.verify_space(sp),
                 f"certificates failed for {kind.value} space on {a}",
             )
-            self._spaces[key] = sp
-        return self._spaces[key]
+            self.spaces[key] = sp
+        return self.spaces[key]
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +163,8 @@ class Context:
 
 def q_pair_algebra() -> StructureAlgebra:
     """Q x Q with basis (u, v), u^2 = u, v^2 = v, uv = vu = 0, unity u + v."""
-    one = QQ.one()
-    entries_ = {(0, 0, 0): one, (1, 1, 1): one}
-    zero = QQ.zero()
-    sc = tuple(
-        tuple(
-            tuple(entries_.get((i, j, k), zero) for k in range(2)) for j in range(2)
-        )
-        for i in range(2)
-    )
-    return StructureAlgebra(
-        ring=QQ, dim=2, labels=("u", "v"), sc=sc, unity=(one, one)
-    )
+    sc = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+    return StructureAlgebra(ring=QQ, dim=2, labels=("u", "v"), sc=sc, unity=(1, 1))
 
 
 def _family_span_matches(space, triples) -> bool:
@@ -299,8 +294,9 @@ def _run_case_z4(ctx):
     require(not rep.holds, "one-sided identity unexpectedly holds")
     ce = rep.counterexample
     require((ce.i, ce.j) == (0, 0), f"counterexample pair {(ce.i, ce.j)}")
-    require(str(ce.lhs.coords[0]) == "2 mod 4", f"lhs {ce.lhs.coords}")
-    require(str(ce.rhs.coords[0]) == "0 mod 4", f"rhs {ce.rhs.coords}")
+    doc = ce.to_doc()
+    require(doc["lhs"][0] == "2 mod 4", f"lhs {doc['lhs']}")
+    require(doc["rhs"][0] == "0 mod 4", f"rhs {doc['rhs']}")
     require(not a.ring.two_torsion_free(), "Z/4Z reported 2-torsion free")
     try:
         solver.solve(a, JLGH)

@@ -149,11 +149,12 @@ class Counterexample:
     rhs: AlgElement
 
     def to_doc(self) -> dict:
+        fmt = self.lhs.alg.ring.format
         return {
             "i": self.i,
             "j": self.j,
-            "lhs": [str(c) for c in self.lhs.coords],
-            "rhs": [str(c) for c in self.rhs.coords],
+            "lhs": [fmt(c) for c in self.lhs.coords],
+            "rhs": [fmt(c) for c in self.rhs.coords],
         }
 
 
@@ -329,10 +330,11 @@ class LeftGHDecomposition:
     d_is_left_derivation: bool
 
     def to_doc(self) -> dict:
+        fmt = self.lam.alg.ring.format
         return {
-            "lambda": [str(c) for c in self.lam.coords],
+            "lambda": [fmt(c) for c in self.lam.coords],
             "lambda_central": self.lam_central,
-            "d": [[str(c) for c in row] for row in self.d.mat],
+            "d": [[fmt(c) for c in row] for row in self.d.mat],
             "d_is_left_derivation": self.d_is_left_derivation,
         }
 

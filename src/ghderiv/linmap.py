@@ -1,7 +1,8 @@
 """Linear self-maps of a structure-constant algebra and map triples.
 
-A map is stored as a dense d x d matrix of scalars, ``mat[i][j]``; column
-j holds the coordinates of the image of basis vector e_j.  Triples (f, g,
+A map is stored as a dense d x d matrix of raw ring values (see
+``ring``), ``mat[i][j]``; column j holds the coordinates of the image of
+basis vector e_j.  Triples (f, g,
 h) bundle the three maps appearing in the two-sided and one-sided product
 identities.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import QQ, RingSpec, Scalar
+from .ring import QQ, RingSpec
 from .algebra import (
     AlgebraMismatch,
     AlgElement,
@@ -65,7 +66,11 @@ class NotATensorAlgebra(ValueError):
 
 @dataclass(frozen=True)
 class LinMap:
-    """A module-linear self-map, column j = coordinates of the image of e_j."""
+    """A module-linear self-map, column j = coordinates of the image of e_j.
+
+    ``mat`` holds raw ring values; ``from_rows`` and ``from_columns``
+    coerce outside input into that form.
+    """
 
     alg: StructureAlgebra
     mat: tuple
@@ -80,12 +85,12 @@ class LinMap:
     @classmethod
     def from_rows(cls, alg: StructureAlgebra, rows) -> "LinMap":
         """Build from a row-major iterable; entries are coerced into the ring."""
-        mat = tuple(tuple(alg.ring.scalar(x) for x in row) for row in rows)
+        mat = tuple(tuple(map(alg.ring.coerce, row)) for row in rows)
         return cls(alg, mat)
 
     @classmethod
     def from_columns(cls, alg: StructureAlgebra, cols) -> "LinMap":
-        cols = [tuple(alg.ring.scalar(x) for x in col) for col in cols]
+        cols = [tuple(map(alg.ring.coerce, col)) for col in cols]
         d = alg.dim
         mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         return cls(alg, mat)
@@ -102,19 +107,11 @@ class LinMap:
 
     @classmethod
     def zero(cls, alg: StructureAlgebra) -> "LinMap":
-        z = alg.ring.zero()
-        return cls(alg, tuple((z,) * alg.dim for _ in range(alg.dim)))
+        return cls(alg, tuple((0,) * alg.dim for _ in range(alg.dim)))
 
     @classmethod
     def identity(cls, alg: StructureAlgebra) -> "LinMap":
-        one, z = alg.ring.one(), alg.ring.zero()
-        return cls(
-            alg,
-            tuple(
-                tuple(one if i == j else z for j in range(alg.dim))
-                for i in range(alg.dim)
-            ),
-        )
+        return cls(alg, tuple(alg.basis_element(i).coords for i in range(alg.dim)))
 
     # -- use ------------------------------------------------------------------
 
@@ -122,22 +119,19 @@ class LinMap:
         if not _same_algebra(x.alg, self.alg):
             raise AlgebraMismatch("map and element live in different algebras")
         d = self.alg.dim
-        zero = self.alg.ring.zero()
-        acc = [zero] * d
+        acc = [0] * d
         for j, cj in enumerate(x.coords):
-            if cj.is_zero():
-                continue
-            col_weight = cj
-            for i in range(d):
-                m = self.mat[i][j]
-                if not m.is_zero():
-                    acc[i] = acc[i] + m * col_weight
-        return AlgElement(self.alg, tuple(acc))
+            if cj:
+                for i in range(d):
+                    m = self.mat[i][j]
+                    if m:
+                        acc[i] += m * cj
+        return AlgElement(self.alg, tuple(map(self.alg.ring.reduce, acc)))
 
     def __call__(self, x: AlgElement) -> AlgElement:
         return self.apply(x)
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
+    def column(self, j: int) -> tuple:
         return tuple(self.mat[i][j] for i in range(self.alg.dim))
 
     # -- arithmetic -------------------------------------------------------------
@@ -148,35 +142,31 @@ class LinMap:
         if not _same_algebra(self.alg, other.alg):
             raise AlgebraMismatch("maps live in different algebras")
 
+    def _make(self, raw_rows) -> "LinMap":
+        reduce = self.alg.ring.reduce
+        return LinMap(self.alg, tuple(tuple(map(reduce, r)) for r in raw_rows))
+
     def __add__(self, other):
         self._check(other)
-        return LinMap(
-            self.alg,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.mat, other.mat)
-            ),
+        return self._make(
+            (a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.mat, other.mat)
         )
 
     def __sub__(self, other):
         self._check(other)
-        return LinMap(
-            self.alg,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.mat, other.mat)
-            ),
+        return self._make(
+            (a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.mat, other.mat)
         )
 
     def __neg__(self):
-        return LinMap(self.alg, tuple(tuple(-a for a in r) for r in self.mat))
+        return self._make((-a for a in r) for r in self.mat)
 
     def scale(self, c) -> "LinMap":
-        s = self.alg.ring.scalar(c)
-        return LinMap(self.alg, tuple(tuple(s * a for a in r) for r in self.mat))
+        s = self.alg.ring.coerce(c)
+        return self._make((s * a for a in r) for r in self.mat)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.mat for a in r)
+        return not any(map(any, self.mat))
 
 
 @dataclass(frozen=True)
@@ -262,16 +252,15 @@ def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
     alg = upper_triangular(n, ring)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
-    gp = [alg.ring.scalar(x) for x in gparams]
-    hp = [alg.ring.scalar(x) for x in hparams]
+    gp = [alg.ring.coerce(x) for x in gparams]
+    hp = [alg.ring.coerce(x) for x in hparams]
     if len(gp) != len(positions):
         raise BadParameterCount(f"need {len(positions)} g parameters, got {len(gp)}")
     if len(hp) != n:
         raise BadParameterCount(f"need {n} h parameters, got {len(hp)}")
-    zero = alg.ring.zero()
 
     def g_column(a, b):
-        col = [zero] * alg.dim
+        col = [0] * alg.dim
         for j in range(b, n):
             col[pos_index[(a, j)]] = gp[pos_index[(b, j)]]
         return col
@@ -280,7 +269,7 @@ def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
     for (a, b) in positions:
         gcols.append(g_column(a, b))
         if (a, b) == (0, 0):
-            col = [zero] * alg.dim
+            col = [0] * alg.dim
             for j in range(n):
                 col[pos_index[(0, j)]] = hp[j]
             hcols.append(col)
@@ -300,14 +289,13 @@ def tn_left_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
     alg = upper_triangular(n, ring)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
-    gp = [alg.ring.scalar(x) for x in gparams]
-    hp = [alg.ring.scalar(x) for x in hparams]
+    gp = [alg.ring.coerce(x) for x in gparams]
+    hp = [alg.ring.coerce(x) for x in hparams]
     if len(gp) != n or len(hp) != n:
         raise BadParameterCount(f"need {n} parameters per map")
-    zero = alg.ring.zero()
 
     def column(params, a, b):
-        col = [zero] * alg.dim
+        col = [0] * alg.dim
         if (a, b) == (0, 0):
             for j in range(n):
                 col[pos_index[(0, j)]] = params[j]
@@ -347,11 +335,10 @@ def poly_lift(f: LinMap, degree: int) -> LinMap:
     base = f.alg
     lifted = truncated_poly(base, degree)
     d = base.dim
-    zero = base.ring.zero()
     cols = []
     for t in range(degree + 1):
         for i in range(d):
-            col = [zero] * lifted.dim
+            col = [0] * lifted.dim
             fc = f.column(i)
             for m in range(d):
                 col[t * d + m] = fc[m]
@@ -370,14 +357,13 @@ def tensor_extend(f: LinMap, s: StructureAlgebra) -> LinMap:
     a = f.alg
     prod = tensor_product(a, s)
     ds = s.dim
-    zero = a.ring.zero()
     cols = []
     for i in range(a.dim):
         fc = f.column(i)
         for j in range(ds):
-            col = [zero] * prod.dim
+            col = [0] * prod.dim
             for m in range(a.dim):
-                if not fc[m].is_zero():
+                if fc[m]:
                     col[m * ds + j] = fc[m]
             cols.append(col)
     return LinMap.from_columns(prod, cols)
@@ -402,12 +388,11 @@ def tensor_coordinates(f: LinMap) -> list[LinMap]:
         raise NotATensorAlgebra("map does not live on a tensor product algebra")
     a, s = prod.factors
     ds = s.dim
-    zero = a.ring.zero()
     cols_per_t = [[] for _ in range(ds)]
     for i in range(a.dim):
-        embedded = [zero] * prod.dim
+        embedded = [0] * prod.dim
         for n_ in range(ds):
-            if not s.unity[n_].is_zero():
+            if s.unity[n_]:
                 embedded[i * ds + n_] = s.unity[n_]
         image = f.apply(AlgElement(prod, tuple(embedded)))
         for t in range(ds):
@@ -422,8 +407,13 @@ def tensor_coordinates(f: LinMap) -> list[LinMap]:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_doc(f: LinMap) -> list:
+    fmt = f.alg.ring.format
+    return [[fmt(c) for c in row] for row in f.mat]
+
+
 def map_to_doc(f: LinMap, inline_algebra: bool = True) -> dict:
-    doc = {"matrix": [[str(c) for c in row] for row in f.mat]}
+    doc = {"matrix": _matrix_doc(f)}
     if inline_algebra:
         doc["algebra"] = algebra_to_doc(f.alg)
     return doc
@@ -445,11 +435,7 @@ def map_from_doc(doc: dict, ring: RingSpec | None = None,
 
 
 def triple_to_doc(t: MapTriple, inline_algebra: bool = True) -> dict:
-    doc = {
-        "f": [[str(c) for c in row] for row in t.f.mat],
-        "g": [[str(c) for c in row] for row in t.g.mat],
-        "h": [[str(c) for c in row] for row in t.h.mat],
-    }
+    doc = {"f": _matrix_doc(t.f), "g": _matrix_doc(t.g), "h": _matrix_doc(t.h)}
     if inline_algebra:
         doc["algebra"] = algebra_to_doc(t.alg)
     return doc

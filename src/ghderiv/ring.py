@@ -1,10 +1,17 @@
 """Exact arithmetic over the supported coefficient rings.
 
 Two families of coefficient rings are available: the rational numbers and
-the integers modulo m.  Every scalar is an immutable exact value; there is
-no floating point anywhere in this package.  Rationals are kept in lowest
-terms with a positive denominator (``fractions.Fraction`` already
-guarantees this), residues are kept reduced to the range ``[0, m)``.
+the integers modulo m.  ``RingSpec`` alone owns the number format that
+every layer computes on.  A raw value over Q is a plain ``int`` or a
+``fractions.Fraction`` (already in lowest terms); over Z/mZ it is an
+``int`` residue in ``[0, m)``.  There is no floating point anywhere in
+this package: ``RingSpec.coerce`` is the one entry point for outside
+values and rejects floats, bools and Decimals.  After ``+ - *`` on raw
+values, ``RingSpec.reduce`` restores the normal form (nothing to do over
+Q, ``% m`` over Z/mZ); ``inv``, ``parse`` and ``format`` complete the
+arithmetic.  ``Scalar`` boxes a raw value with its ring for callers who
+want operators on single values; the algebra, map, solver and
+elimination layers work on raw values directly.
 
 The 2-torsion-free test (``2a = 0`` only for ``a = 0``) matters because
 several identities carry an explicit factor of 2 that cannot be divided
@@ -14,6 +21,7 @@ explicit; nothing in this package divides by 2.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +98,70 @@ class RingSpec:
             return True
         return _is_prime(self.m)
 
-    # -- element helpers ---------------------------------------------------
+    # -- raw values ---------------------------------------------------------
+
+    def coerce(self, value):
+        """The raw value of an int, a Fraction, a text form or a Scalar.
+
+        This is the one entry point for values from outside the package.
+        Anything else, floats, bools and Decimals included, raises
+        ValueError: a float has already lost the exact value it stood for.
+        """
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            if self.m is None:
+                return value.numerator if value.denominator == 1 else value
+            if value.denominator != 1:
+                raise ValueError(f"{value} is not an integer residue")
+            return value.numerator % self.m
+        if isinstance(value, str):
+            return self.parse(value)
+        if isinstance(value, Scalar):
+            if value.ring != self:
+                raise RingMismatch(f"scalar from {value.ring} used in {self}")
+            return value.value
+        raise ValueError(
+            f"{value!r} is not an exact scalar: give an int, a Fraction or a string"
+        )
+
+    def reduce(self, value):
+        """Normal form of a raw sum, difference or product."""
+        return value if self.m is None else value % self.m
+
+    def inv(self, value):
+        """Inverse of a raw value; raises NotAUnit when none exists."""
+        if self.m is None:
+            if not value:
+                raise NotAUnit("0 has no inverse in Q")
+            # Through Fraction: 1 / value on ints would give a float.
+            return self.coerce(Fraction(1, value))
+        try:
+            return pow(value, -1, self.m)
+        except ValueError:
+            raise NotAUnit(f"{self.format(value)} has no inverse") from None
+
+    def parse(self, text: str):
+        """Parse "p/q" or "p" over Q, "r mod m" or a bare integer over Z/mZ."""
+        if not isinstance(text, str):
+            raise ValueError(f"expected a string, got {text!r}")
+        if self.m is None:
+            try:
+                return self.coerce(Fraction(text.strip()))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+        m = _ZMOD_RE.fullmatch(text)
+        if not m:
+            raise ValueError(f"bad residue literal {text!r}")
+        if m.group(2) is not None and int(m.group(2)) != self.m:
+            raise ValueError(
+                f"literal {text!r} names modulus {m.group(2)}, ring has {self.m}"
+            )
+        return int(m.group(1)) % self.m
+
+    def format(self, value) -> str:
+        """Text form of a raw value: "p/q" over Q, "r mod m" over Z/mZ."""
+        return str(value) if self.m is None else f"{value} mod {self.m}"
+
+    # -- boxed values -------------------------------------------------------
 
     def zero(self) -> "Scalar":
         return Scalar(self, 0)
@@ -100,12 +171,6 @@ class RingSpec:
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, text form, or Scalar into this ring."""
-        if isinstance(value, Scalar):
-            if value.ring != self:
-                raise RingMismatch(f"scalar from {value.ring} used in {self}")
-            return value
-        if isinstance(value, str):
-            return Scalar.parse(value, self)
         return Scalar(self, value)
 
     # -- presentation ------------------------------------------------------
@@ -155,130 +220,61 @@ def Zmod(m: int) -> RingSpec:
 _ZMOD_RE = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?$")
 
 
+def _arith(op, swapped=False):
+    """A Scalar operator: ``op`` on raw values, normalized by the ring's
+    coercion (which reduces mod m)."""
+
+    def method(self, other):
+        if isinstance(other, Scalar):
+            if other.ring != self.ring:
+                raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
+            o = other.value
+        elif isinstance(other, int) and not isinstance(other, bool):
+            o = other
+        else:
+            return NotImplemented
+        v = op(o, self.value) if swapped else op(self.value, o)
+        return Scalar(self.ring, v)
+
+    return method
+
+
 @dataclass(frozen=True, slots=True)
 class Scalar:
-    """An exact ring element: a Fraction over Q, a reduced residue over Z/mZ."""
+    """An exact ring element: a raw value of ``ring`` boxed with its ring."""
 
     ring: RingSpec
     value: object
 
     def __post_init__(self) -> None:
-        if self.ring.kind == "Q":
-            object.__setattr__(self, "value", Fraction(self.value))
-        else:
-            if isinstance(self.value, Fraction):
-                if self.value.denominator != 1:
-                    raise ValueError(f"{self.value} is not an integer residue")
-                object.__setattr__(self, "value", int(self.value) % self.ring.m)
-            elif isinstance(self.value, int) and not isinstance(self.value, bool):
-                object.__setattr__(self, "value", self.value % self.ring.m)
-            else:
-                raise ValueError(f"bad residue value: {self.value!r}")
+        object.__setattr__(self, "value", self.ring.coerce(self.value))
 
     # -- arithmetic --------------------------------------------------------
 
-    @classmethod
-    def _raw(cls, ring, value):
-        # Internal fast path: ``value`` is already normalized for ``ring``.
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
-        return self
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.ring != self.ring:
-                raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return Scalar(self.ring, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        v = self.value + o.value
-        if self.ring.kind != "Q":
-            v %= self.ring.m
-        return Scalar._raw(self.ring, v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        v = self.value - o.value
-        if self.ring.kind != "Q":
-            v %= self.ring.m
-        return Scalar._raw(self.ring, v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        v = o.value - self.value
-        if self.ring.kind != "Q":
-            v %= self.ring.m
-        return Scalar._raw(self.ring, v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        v = self.value * o.value
-        if self.ring.kind != "Q":
-            v %= self.ring.m
-        return Scalar._raw(self.ring, v)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _arith(operator.add)
+    __sub__ = _arith(operator.sub)
+    __rsub__ = _arith(operator.sub, swapped=True)
+    __mul__ = __rmul__ = _arith(operator.mul)
 
     def __neg__(self):
-        v = -self.value
-        if self.ring.kind != "Q":
-            v %= self.ring.m
-        return Scalar._raw(self.ring, v)
+        return Scalar(self.ring, -self.value)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises NotAUnit when none exists."""
-        if self.ring.kind == "Q":
-            if self.value == 0:
-                raise NotAUnit("0 has no inverse in Q")
-            return Scalar(self.ring, 1 / self.value)
-        try:
-            return Scalar(self.ring, pow(self.value, -1, self.ring.m))
-        except ValueError:
-            raise NotAUnit(f"{self} has no inverse") from None
+        return Scalar(self.ring, self.ring.inv(self.value))
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.value
 
     def __bool__(self) -> bool:
-        return self.value != 0
+        return bool(self.value)
 
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.ring.kind == "Q":
-            return str(self.value)
-        return f"{self.value} mod {self.ring.m}"
+        return self.ring.format(self.value)
 
     @classmethod
     def parse(cls, text: str, ring: RingSpec) -> "Scalar":
         """Parse "p/q" or "p" over Q, "r mod m" or a bare integer over Z/mZ."""
-        if not isinstance(text, str):
-            raise ValueError(f"expected a string, got {text!r}")
-        if ring.kind == "Q":
-            try:
-                return Scalar(ring, Fraction(text.strip()))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational literal {text!r}: {exc}") from None
-        m = _ZMOD_RE.fullmatch(text)
-        if not m:
-            raise ValueError(f"bad residue literal {text!r}")
-        if m.group(2) is not None and int(m.group(2)) != ring.m:
-            raise ValueError(
-                f"literal {text!r} names modulus {m.group(2)}, ring has {ring.m}"
-            )
-        return Scalar(ring, int(m.group(1)))
+        return cls(ring, ring.parse(text))

@@ -7,7 +7,9 @@ same table the checkers evaluate, so rows and checkers state one identity.
 Unknown order is fixed: the f block, then g, then h; inside a block,
 column-major (all coordinates of the image of e_0, then of e_1, ...).
 Rows are emitted in the fixed order (i, j, coordinate, template) over
-ordered basis pairs, followed by any constraint rows.  With layout and
+ordered basis pairs, followed by any constraint rows.  Rows, solution
+vectors and canonical matrices hold raw ring values (see ``ring``), the
+same values the maps store and ``_linalg`` eliminates on.  With layout and
 pivot order fixed, the reduced echelon form of the solution space is
 unique, so solution spaces can be compared by comparing matrices.
 
@@ -22,9 +24,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import _linalg
-from .ring import RingMismatch, Scalar
+from .ring import RingMismatch
 from .algebra import StructureAlgebra
-from .linmap import LinMap, MapTriple
+from .linmap import LinMap, MapTriple, triple_to_doc
 from . import identities
 from .identities import IdentityKind
 
@@ -82,7 +84,7 @@ def _col(d: int, name: str, j: int, i: int) -> int:
     return _BLOCKS[name] * d * d + j * d + i
 
 
-def triple_to_vec(t: MapTriple) -> list[Scalar]:
+def triple_to_vec(t: MapTriple) -> list:
     """Flatten a triple into the solver's unknown order."""
     d = t.alg.dim
     out = []
@@ -107,7 +109,7 @@ def vec_to_triple(alg: StructureAlgebra, vec) -> MapTriple:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The compiled homogeneous system; rows are sparse {column: Scalar}."""
+    """The compiled homogeneous system; rows are sparse {column: nonzero raw value}."""
 
     alg: StructureAlgebra
     kind: IdentityKind
@@ -120,29 +122,25 @@ class LinearSystem:
         return len(self.rows)
 
     def dense_rows(self):
-        zero = self.alg.ring.zero()
         for row in self.rows:
-            yield [row.get(c, zero) for c in range(self.ncols)]
+            yield [row.get(c, 0) for c in range(self.ncols)]
 
     def to_doc(self) -> dict:
+        fmt = self.alg.ring.format
         return {
             "kind": self.kind.value,
             "constraints": self.constraints.describe(),
             "ncols": self.ncols,
-            "rows": [[str(v) for v in row] for row in self.dense_rows()],
+            "rows": [[fmt(v) for v in row] for row in self.dense_rows()],
         }
 
     def evaluate(self, t: MapTriple) -> bool:
         """Substitution check: does the flattened triple kill every row?"""
         vec = triple_to_vec(t)
-        zero = self.alg.ring.zero()
-        for row in self.rows:
-            acc = zero
-            for c, v in row.items():
-                acc = acc + v * vec[c]
-            if not acc.is_zero():
-                return False
-        return True
+        reduce = self.alg.ring.reduce
+        return not any(
+            reduce(sum(v * vec[c] for c, v in row.items())) for row in self.rows
+        )
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
@@ -156,7 +154,7 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
     for i < j only.  Every row is yielded, also an empty one.
     """
     d = alg.dim
-    ring = alg.ring
+    reduce = alg.ring.reduce
     table = alg._pair_table
     # An image M(e_p) times e_q on its right is read off the right action
     # of e_q; times e_q on its left, off the left action.
@@ -175,27 +173,21 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
                         for k, c in table[x[arg]][x[other]]:
                             for m in range(d):
                                 col = _col(d, name, k, m)
-                                rows[m][col] = rows[m].get(col, 0) + coef * c.value
+                                rows[m][col] = rows[m].get(col, 0) + coef * c
                         continue
                     # Unknown M[l][x_arg] meets e_l times e_{x_other}.
                     base = _col(d, name, x[arg], 0)
                     for m, action in enumerate(actions[where][x[other]]):
                         row = rows[m]
                         for l, c in action:
-                            row[base + l] = row.get(base + l, 0) + coef * c.value
-                blocks.append([_scalar_row(ring, row) for row in rows])
+                            row[base + l] = row.get(base + l, 0) + coef * c
+                blocks.append([
+                    {col: r for col, v in row.items() if (r := reduce(v))}
+                    for row in rows
+                ])
             for m in range(d):
                 for rows in blocks:
                     yield rows[m]
-
-
-def _scalar_row(ring, raw: dict) -> dict:
-    row = {}
-    for col, v in raw.items():
-        s = Scalar(ring, v)
-        if not s.is_zero():
-            row[col] = s
-    return row
 
 
 def build_system(
@@ -206,21 +198,21 @@ def build_system(
     """Compile the identity (plus optional constraints) to a linear system."""
     cons = constraints if constraints is not None else Constraints()
     d = alg.dim
-    one = alg.ring.one()
+    minus_one = alg.ring.reduce(-1)
     rows = list(_emit_identity_rows(alg, kind))
     if cons.force_g_eq_h:
         for j in range(d):
             for i in range(d):
-                rows.append({_col(d, "g", j, i): one, _col(d, "h", j, i): -one})
+                rows.append({_col(d, "g", j, i): 1, _col(d, "h", j, i): minus_one})
     if cons.force_f_zero:
         for j in range(d):
             for i in range(d):
-                rows.append({_col(d, "f", j, i): one})
+                rows.append({_col(d, "f", j, i): 1})
     for c in cons.f_zero_basis:
         if not 0 <= c < d:
             raise ValueError(f"basis index {c} out of range")
         for m in range(d):
-            rows.append({_col(d, "f", c, m): one})
+            rows.append({_col(d, "f", c, m): 1})
     return LinearSystem(
         alg=alg, kind=kind, constraints=cons, rows=tuple(rows), ncols=3 * d * d
     )
@@ -254,56 +246,50 @@ class SolutionSpace:
         return t
 
     def to_doc(self) -> dict:
+        fmt = self.alg.ring.format
         return {
             "algebra_dim": self.alg.dim,
             "ring": self.alg.ring.to_doc(),
             "kind": self.kind.value,
             "constraints": self.constraints.describe(),
             "dim": self.dim,
-            "basis": [
-                {
-                    "f": [[str(c) for c in row] for row in t.f.mat],
-                    "g": [[str(c) for c in row] for row in t.g.mat],
-                    "h": [[str(c) for c in row] for row in t.h.mat],
-                }
-                for t in self.basis
-            ],
-            "canonical": [[str(v) for v in row] for row in self.canonical],
+            "basis": [triple_to_doc(t, inline_algebra=False) for t in self.basis],
+            "canonical": [[fmt(v) for v in row] for row in self.canonical],
         }
 
 
-def _raw_rows(system: LinearSystem):
-    for row in system.rows:
-        raw = {c: v.value for c, v in row.items() if not v.is_zero()}
-        if raw:
-            yield raw
+def _dense(rows, ncols: int) -> tuple:
+    """Sparse echelon rows as dense tuples of length ``ncols``."""
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for c, v in row.items():
+            vec[c] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _sparse(vec) -> dict:
+    return {c: v for c, v in enumerate(vec) if v}
 
 
 def nullspace(system: LinearSystem) -> SolutionSpace:
     """Exact solution space with a canonical reduced-echelon basis."""
     ring = system.alg.ring
-    ops = _linalg.ops_for(ring)
-    echelon, pivots = _linalg.rref(_raw_rows(system), ops)
-    rank = len(echelon)
-    ns = _linalg.nullspace(echelon, pivots, system.ncols, ops)
-    canonical_raw, _ = _linalg.rref(ns, ops)
-    zero = ring.zero()
-    canonical = []
-    basis = []
-    for row in canonical_raw:
-        vec = [zero] * system.ncols
-        for c, v in row.items():
-            vec[c] = Scalar(ring, v)
-        canonical.append(tuple(vec))
-        basis.append(vec_to_triple(system.alg, vec))
+    # Empty rows carry no condition; they stay in the system for its
+    # documented row layout but are not fed to elimination.
+    echelon, pivots = _linalg.rref(filter(None, system.rows), ring)
+    ns = _linalg.nullspace(echelon, pivots, system.ncols, ring)
+    canonical_rows, _ = _linalg.rref(ns, ring)
+    canonical = _dense(canonical_rows, system.ncols)
     return SolutionSpace(
         alg=system.alg,
         kind=system.kind,
         constraints=system.constraints,
-        basis=tuple(basis),
-        dim=len(basis),
-        canonical=tuple(canonical),
-        rank=rank,
+        basis=tuple(vec_to_triple(system.alg, vec) for vec in canonical),
+        dim=len(canonical),
+        canonical=canonical,
+        rank=len(echelon),
     )
 
 
@@ -326,7 +312,7 @@ def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
     if cons.force_f_zero and not t.f.is_zero():
         return False
     for c in cons.f_zero_basis:
-        if any(not v.is_zero() for v in t.f.column(c)):
+        if any(t.f.column(c)):
             return False
     return True
 
@@ -349,8 +335,8 @@ def verify_space(space: SolutionSpace) -> bool:
             return False
         if not system.evaluate(t):
             return False
-    ops = _linalg.ops_for(space.alg.ring)
-    echelon, _ = _linalg.rref(_raw_rows(system), ops)
+    ring = space.alg.ring
+    echelon, _ = _linalg.rref(filter(None, system.rows), ring)
     if space.dim != system.ncols - len(echelon):
         return False
     if space.rank != len(echelon):
@@ -359,9 +345,9 @@ def verify_space(space: SolutionSpace) -> bool:
     cols = list(range(system.ncols))
     rng.shuffle(cols)
     remap = {old: new for new, old in enumerate(cols)}
-    raw = [{remap[c]: v for c, v in row.items()} for row in _raw_rows(system)]
-    rng.shuffle(raw)
-    echelon2, _ = _linalg.rref(raw, ops)
+    permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows if row]
+    rng.shuffle(permuted)
+    echelon2, _ = _linalg.rref(permuted, ring)
     return len(echelon2) == len(echelon)
 
 
@@ -379,25 +365,19 @@ def space_equal(s1: SolutionSpace, s2: SolutionSpace) -> bool:
 
 
 def _canonical_echelon(space: SolutionSpace):
-    echelon = []
-    pivots = {}
-    for row in space.canonical:
-        raw = {c: v.value for c, v in enumerate(row) if not v.is_zero()}
-        pivots[min(raw)] = len(echelon)
-        echelon.append(raw)
+    echelon = [_sparse(row) for row in space.canonical]
+    pivots = {min(row): k for k, row in enumerate(echelon)}
     return echelon, pivots
 
 
 def space_contains(s1: SolutionSpace, s2: SolutionSpace) -> bool:
     """True iff every generator of s2 eliminates to zero against s1."""
     _require_comparable(s1, s2)
-    ops = _linalg.ops_for(s1.alg.ring)
     echelon, pivots = _canonical_echelon(s1)
-    for row in s2.canonical:
-        raw = {c: v.value for c, v in enumerate(row) if not v.is_zero()}
-        if _linalg.residual(raw, echelon, pivots, ops):
-            return False
-    return True
+    return not any(
+        _linalg.residual(_sparse(row), echelon, pivots, s1.alg.ring)
+        for row in s2.canonical
+    )
 
 
 def space_member(space: SolutionSpace, t: MapTriple) -> bool:
@@ -406,11 +386,9 @@ def space_member(space: SolutionSpace, t: MapTriple) -> bool:
         raise RingMismatch("triple and space live over different rings")
     if t.alg.dim != space.alg.dim:
         raise ValueError("triple and space live on algebras of different dimension")
-    ops = _linalg.ops_for(space.alg.ring)
     echelon, pivots = _canonical_echelon(space)
-    vec = triple_to_vec(t)
-    raw = {c: v.value for c, v in enumerate(vec) if not v.is_zero()}
-    return not _linalg.residual(raw, echelon, pivots, ops)
+    vec = _sparse(triple_to_vec(t))
+    return not _linalg.residual(vec, echelon, pivots, space.alg.ring)
 
 
 def canonical_span(alg: StructureAlgebra, triples) -> tuple:
@@ -419,26 +397,13 @@ def canonical_span(alg: StructureAlgebra, triples) -> tuple:
     Output rows have the same shape as ``SolutionSpace.canonical``, so a
     closed-form family can be compared against a solved space directly.
     """
-    ops = _linalg.ops_for(alg.ring)
-    raw_rows = []
+    rows = []
     for t in triples:
         if t.alg.ring != alg.ring:
             raise RingMismatch("triple lives over a different ring")
-        vec = triple_to_vec(t)
-        raw = {c: v.value for c, v in enumerate(vec) if not v.is_zero()}
-        if raw:
-            raw_rows.append(raw)
-    echelon, _ = _linalg.rref(raw_rows, ops)
-    ring = alg.ring
-    zero = ring.zero()
-    ncols = 3 * alg.dim ** 2
-    out = []
-    for row in echelon:
-        vec = [zero] * ncols
-        for c, v in row.items():
-            vec[c] = Scalar(ring, v)
-        out.append(tuple(vec))
-    return tuple(out)
+        rows.append(_sparse(triple_to_vec(t)))
+    echelon, _ = _linalg.rref(rows, alg.ring)
+    return _dense(echelon, 3 * alg.dim ** 2)
 
 
 def project_gh_injectivity(space: SolutionSpace) -> bool:
@@ -448,18 +413,9 @@ def project_gh_injectivity(space: SolutionSpace) -> bool:
     the same rank as the space itself, i.e. no nonzero solution has
     g = h = 0 but f != 0.
     """
-    ops = _linalg.ops_for(space.alg.ring)
     d2 = space.alg.dim ** 2
-    rows = []
-    for row in space.canonical:
-        raw = {
-            c - d2: v.value
-            for c, v in enumerate(row)
-            if c >= d2 and not v.is_zero()
-        }
-        if raw:
-            rows.append(raw)
-    echelon, _ = _linalg.rref(rows, ops)
+    rows = [_sparse(row[d2:]) for row in space.canonical]
+    echelon, _ = _linalg.rref(rows, space.alg.ring)
     return len(echelon) == space.dim
 
 

@@ -13,18 +13,19 @@ def algebras():
 
 @pytest.fixture(scope="session")
 def solved():
-    """Memoized solve-and-certify: every space handed out passed verify_space."""
-    cache = {}
+    """Memoized solve-and-certify: every space handed out passed verify_space.
+
+    A thin wrapper over one catalog.Context; ``solved.cache`` holds every
+    certified space.
+    """
+    from ghderiv import catalog
+
+    ctx = catalog.Context()
 
     def get(spec, kind, constraints=None, ring=G.QQ):
-        key = (spec, kind, constraints, ring)
-        if key not in cache:
-            sp = G.solve(G.from_spec(spec, ring), kind, constraints)
-            assert G.verify_space(sp), f"certificates failed for {key}"
-            cache[key] = sp
-        return cache[key]
+        return ctx.space(ctx.alg(spec, ring), kind, constraints)
 
-    get.cache = cache
+    get.cache = ctx.spaces
     return get
 
 

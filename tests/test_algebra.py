@@ -228,6 +228,10 @@ def test_structural_equality_of_separately_built_copies():
     assert upper_triangular(3) == upper_triangular(3)
     assert full_matrix(2) != full_matrix(2, Zmod(5))
     assert upper_triangular(2) != full_matrix(2)
+    # Equal algebras hash equal, so they share one set or dict entry.
+    assert len({from_spec("tn2"), from_spec("tn2")}) == 1
+    assert hash(tensor_product(ring_as_algebra(QQ), quaternions())) == hash(
+        tensor_product(ring_as_algebra(QQ), quaternions()))
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_z4_doubling_two_sided_but_not_one_sided():
     ce = rep.counterexample
     assert (ce.i, ce.j) == (0, 0)
     # f(1*1) = 2, while 1*f(1) + 1*f(1) = 4 = 0 in Z/4Z.
-    assert str(ce.lhs.coords[0]) == "2 mod 4"
-    assert str(ce.rhs.coords[0]) == "0 mod 4"
+    assert ce.to_doc()["lhs"][0] == "2 mod 4"
+    assert ce.to_doc()["rhs"][0] == "0 mod 4"
 
 
 def test_z4_doubling_not_fixable_by_halving():

@@ -122,7 +122,7 @@ def test_tn_left_family_frozen_matrix():
     assert t.h == LinMap.from_rows(t2, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     # Everything outside the e11 column dies.
     for j in (1, 2):
-        assert all(v.is_zero() for v in t.f.column(j))
+        assert not any(t.f.column(j))
 
 
 def test_family_parameter_counts():
@@ -161,7 +161,7 @@ def test_quat_jordan_family_columns():
 def test_families_over_z5():
     t = tn_jordan_family(2, [1, 2, 3], [4, 5], ring=Zmod(5))
     assert t.alg.ring == Zmod(5)
-    assert t.f.mat[0][0].value == 0  # 5 reduces away
+    assert t.f.mat[0][0] == 0  # 5 reduces away
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_poly_lift_acts_degreewise():
     for t in range(3):
         for i in range(d):
             img = lifted(p.basis_element(t * d + i))
-            expect = [QQ.zero()] * p.dim
+            expect = [0] * p.dim
             for m, v in enumerate(f.column(i)):
                 expect[t * d + m] = v
             assert img.coords == tuple(expect)

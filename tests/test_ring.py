@@ -6,11 +6,16 @@ and 2-torsion-freeness is decided correctly (that hypothesis gates the
 square-identity arguments downstream).
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ghderiv.algebra import upper_triangular
+from ghderiv.identities import IdentityKind, check
+from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import (
     QQ,
     NotAUnit,
@@ -19,6 +24,7 @@ from ghderiv.ring import (
     Scalar,
     Zmod,
 )
+from ghderiv.solver import canonical_span, solve
 
 
 def test_q_basics():
@@ -134,3 +140,98 @@ def test_z7_units_invert(u):
 def test_scalar_str_is_stable():
     assert str(Scalar(QQ, Fraction(10, 4))) == "5/2"
     assert str(Scalar(Zmod(12), 25)) == "1 mod 12"
+
+
+def test_only_exact_inputs_are_coerced():
+    for ring in (QQ, Zmod(5)):
+        for bad in (0.1, 2.0, True, False, Decimal("0.5"), None, 1j):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                ring.scalar(bad)
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                Scalar(ring, bad)
+    assert QQ.scalar("0.1") == Scalar(QQ, Fraction(1, 10))
+    assert QQ.coerce(Scalar(QQ, 3)) == 3
+    with pytest.raises(RingMismatch):
+        QQ.coerce(Scalar(Zmod(5), 1))
+    # Every layer that takes outside values coerces through the ring.
+    t2 = upper_triangular(2)
+    with pytest.raises(ValueError, match="0.5"):
+        t2.element([0.5, 0, 0])
+    with pytest.raises(ValueError, match="0.5"):
+        t2.one().scale(0.5)
+    with pytest.raises(ValueError, match="True"):
+        LinMap.from_rows(t2, [[True, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# the raw value format every layer computes on
+# ---------------------------------------------------------------------------
+
+
+def assert_raw(ring, values):
+    """Each value is in the ring's normal form: int or Fraction over Q
+    (never a float, never boxed), an int in [0, m) over Z/mZ."""
+    for v in values:
+        if ring.m is None:
+            assert type(v) in (int, Fraction), repr(v)
+        else:
+            assert type(v) is int and 0 <= v < ring.m, repr(v)
+
+
+@given(st.sampled_from([QQ, Zmod(2), Zmod(4), Zmod(5), Zmod(12)]), st.data())
+def test_ring_results_are_normalised_raw_values(ring, data):
+    inputs = (st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50))
+              if ring == QQ else st.integers(-50, 50))
+    a, b = ring.coerce(data.draw(inputs)), ring.coerce(data.draw(inputs))
+    results = [a, b, ring.reduce(a + b), ring.reduce(a - b), ring.reduce(a * b),
+               ring.reduce(-a), ring.parse(ring.format(a))]
+    sa, sb = Scalar(ring, a), Scalar(ring, b)
+    results += [(sa + sb).value, (sa - 7).value, (3 * sb).value, (-sa).value]
+    for v in (a, b):
+        try:
+            inv = ring.inv(v)
+        except NotAUnit:
+            assert ring.m is not None or v == 0
+        else:
+            results += [inv, Scalar(ring, v).inv().value]
+            assert ring.reduce(inv * v) == 1
+    assert_raw(ring, results)
+
+
+def test_inverting_an_int_over_q_stays_exact():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 4)) == 4 and type(QQ.inv(Fraction(1, 4))) is int
+
+
+def _random_triples(draw, ring, alg, count):
+    entries = st.fractions(-9, 9, max_denominator=9) if ring == QQ else st.integers(-9, 9)
+    d = alg.dim
+    return [
+        MapTriple(*(
+            LinMap.from_rows(alg, [[draw(entries) for _ in range(d)] for _ in range(d)])
+            for _ in range(3)
+        ))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_solver_output_is_raw(data):
+    ring = data.draw(st.sampled_from([QQ, Zmod(5)]))
+    kind = data.draw(st.sampled_from(list(IdentityKind)))
+    alg = upper_triangular(2, ring)
+    triples = _random_triples(data.draw, ring, alg, 2)
+    for row in canonical_span(alg, triples):
+        assert_raw(ring, row)
+    sp = solve(alg, kind)
+    for row in sp.canonical:
+        assert_raw(ring, row)
+    for t in list(sp.basis) + triples:
+        for m in (t.f, t.g, t.h):
+            for row in m.mat:
+                assert_raw(ring, row)
+        ce = check(kind, t).counterexample
+        if ce is not None:
+            assert_raw(ring, ce.lhs.coords + ce.rhs.coords)
