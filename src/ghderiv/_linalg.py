@@ -5,6 +5,15 @@ Rows are dicts mapping column index to a nonzero raw value of the ring
 ``int`` residues over Z/pZ.  The ring supplies reduction and inversion;
 the values themselves are the ones every other layer stores.
 
+``rref`` works in two phases.  Forward: each incoming row has the pivot
+columns it holds eliminated in ascending order (a heap picks up columns
+that subtractions bring in), and the normalised remainder becomes the row
+of its smallest column; rows already stored are left alone.  Back: from
+the highest pivot down, each row subtracts the rows of the later pivot
+columns it still holds, which by then are fully reduced, so one pass is
+enough.  No step visits a pivot row whose column the row being reduced
+does not hold.
+
 The reduced row echelon form of a set of rows is unique, independent of
 row order, which is what makes canonical subspace comparison and
 reproducible bases possible.  Pivots are chosen in fixed ascending column
@@ -13,32 +22,42 @@ order, first nonzero wins.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .ring import CompositeModulusUnsupported, RingSpec
 
 
-def _subtract(row: dict, coef, pivrow: dict, pivot: int, reduce) -> None:
-    """row -= coef * pivrow outside the pivot column, dropping zeros."""
-    for k, v in pivrow.items():
-        if k == pivot:
-            continue
-        nv = reduce(row.get(k, 0) - coef * v)
-        if nv:
-            row[k] = nv
-        else:
-            row.pop(k, None)
-
-
 def _reduce_against(row: dict, pivrows: dict, reduce) -> dict:
-    """Eliminate every pivot column present in ``row``; returns the residual.
+    """Eliminate every pivot column from ``row``; returns the residual.
 
-    Pivot rows are fully reduced against each other, so subtracting a pivot
-    row never introduces a new pivot column into ``row``; one pass over the
-    pivot columns initially present is enough.
+    ``pivrows`` maps each pivot column to a row whose smallest column it is,
+    holding a 1 there.  The pivot columns of ``row`` are eliminated in
+    ascending order from a heap: subtracting the row of pivot ``c`` touches
+    only columns above ``c``, and any pivot column it brings in is pushed.
+    Only the pivot rows of columns that ``row`` holds, or comes to hold, are
+    visited.  Against fully reduced pivot rows nothing is ever pushed.
     """
-    for c in sorted(k for k in row if k in pivrows):
+    heap = [k for k in row if k in pivrows]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
         coef = row.pop(c, None)
-        if coef:
-            _subtract(row, coef, pivrows[c], c, reduce)
+        if not coef:
+            continue
+        for k, v in pivrows[c].items():
+            if k == c:
+                continue
+            if k in row:
+                nv = reduce(row[k] - coef * v)
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            else:
+                # Nonzero: a product of two nonzero field elements.
+                row[k] = reduce(-coef * v)
+                if k in pivrows:
+                    heappush(heap, k)
     return row
 
 
@@ -55,6 +74,9 @@ def rref(rows, ring: RingSpec):
             f"exact elimination over {ring} needs a prime modulus"
         )
     reduce = ring.reduce
+    # Forward phase: each incoming row is reduced against the pivot rows it
+    # meets and stored, normalised, under its smallest column.  Older rows
+    # are never touched, so they may still hold later pivot columns.
     pivrows: dict[int, dict] = {}
     for row in rows:
         r = _reduce_against(dict(row), pivrows, reduce)
@@ -64,13 +86,17 @@ def rref(rows, ring: RingSpec):
         inv = ring.inv(r[c])
         r = {k: reduce(v * inv) for k, v in r.items()}
         r[c] = 1
-        # Keep full reduction: clear the new pivot column out of older rows.
-        for other in pivrows.values():
-            coef = other.pop(c, None)
-            if coef:
-                _subtract(other, coef, r, c, reduce)
         pivrows[c] = r
+    # Back phase, from the highest pivot down: every pivot row above the
+    # current one is already fully reduced, so one pass of subtractions
+    # clears the pivot columns the current row still holds.  The row's own
+    # pivot entry is set aside meanwhile, so it is not reduced by itself.
     cols = sorted(pivrows)
+    for c in reversed(cols):
+        r = pivrows[c]
+        del r[c]
+        _reduce_against(r, pivrows, reduce)
+        r[c] = 1
     echelon = [pivrows[c] for c in cols]
     pivots = {c: i for i, c in enumerate(cols)}
     return echelon, pivots

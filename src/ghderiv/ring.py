@@ -3,15 +3,16 @@
 Two families of coefficient rings are available: the rational numbers and
 the integers modulo m.  ``RingSpec`` alone owns the number format that
 every layer computes on.  A raw value over Q is a plain ``int`` or a
-``fractions.Fraction`` (already in lowest terms); over Z/mZ it is an
-``int`` residue in ``[0, m)``.  There is no floating point anywhere in
-this package: ``RingSpec.coerce`` is the one entry point for outside
-values and rejects floats, bools and Decimals.  After ``+ - *`` on raw
-values, ``RingSpec.reduce`` restores the normal form (nothing to do over
-Q, ``% m`` over Z/mZ); ``inv``, ``parse`` and ``format`` complete the
-arithmetic.  ``Scalar`` boxes a raw value with its ring for callers who
-want operators on single values; the algebra, map, solver and
-elimination layers work on raw values directly.
+``fractions.Fraction`` with a denominator above 1 (a whole number is always
+an ``int``); over Z/mZ it is an ``int`` residue in ``[0, m)``.  There is no
+floating point anywhere in this package: ``RingSpec.coerce`` is the one
+entry point for outside values and rejects floats, bools and Decimals.
+After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
+(an integral ``Fraction`` becomes its ``int`` over Q, ``% m`` over Z/mZ);
+``inv``, ``parse`` and ``format`` complete the arithmetic.  ``Scalar`` boxes
+a raw value with its ring for callers who want operators on single values;
+the algebra, map, solver and elimination layers work on raw values
+directly.
 
 The 2-torsion-free test (``2a = 0`` only for ``a = 0``) matters because
 several identities carry an explicit factor of 2 that cannot be divided
@@ -124,8 +125,16 @@ class RingSpec:
         )
 
     def reduce(self, value):
-        """Normal form of a raw sum, difference or product."""
-        return value if self.m is None else value % self.m
+        """Normal form of a raw sum, difference or product.
+
+        Over Z/mZ the residue in ``[0, m)``; over Q an integral ``Fraction``
+        becomes its ``int``, so whole numbers are always plain ints.
+        """
+        if self.m is not None:
+            return value % self.m
+        if type(value) is int or value.denominator != 1:
+            return value
+        return value.numerator
 
     def inv(self, value):
         """Inverse of a raw value; raises NotAUnit when none exists."""

@@ -320,13 +320,19 @@ def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
 def verify_space(space: SolutionSpace) -> bool:
     """Three independent certificates for a computed solution space.
 
+    ``basis`` must be ``canonical`` reshaped into triples, so the
+    certificates below, which read one or the other, speak of one space.
+
     1. substitution: every basis triple passes the identity checker (and
        the extra constraints) directly;
     2. rank-nullity: dim equals 3d^2 minus the rank of a freshly rebuilt
        and re-eliminated system;
     3. stability: re-eliminating under a seeded random row and column
-       permutation reproduces the dimension.
+       permutation, un-permuting that nullspace and re-canonicalising it
+       reproduces ``canonical`` exactly.
     """
+    if space.basis != tuple(vec_to_triple(space.alg, vec) for vec in space.canonical):
+        return False
     system = build_system(space.alg, space.kind, space.constraints)
     for t in space.basis:
         if not identities.check(space.kind, t).holds:
@@ -347,8 +353,11 @@ def verify_space(space: SolutionSpace) -> bool:
     remap = {old: new for new, old in enumerate(cols)}
     permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows if row]
     rng.shuffle(permuted)
-    echelon2, _ = _linalg.rref(permuted, ring)
-    return len(echelon2) == len(echelon)
+    echelon2, pivots2 = _linalg.rref(permuted, ring)
+    ns2 = _linalg.nullspace(echelon2, pivots2, system.ncols, ring)
+    unpermuted = [{cols[c]: v for c, v in vec.items()} for vec in ns2]
+    canonical2, _ = _linalg.rref(unpermuted, ring)
+    return _dense(canonical2, system.ncols) == space.canonical
 
 
 def _require_comparable(s1: SolutionSpace, s2: SolutionSpace) -> None:

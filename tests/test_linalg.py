@@ -1,0 +1,76 @@
+"""Sparse exact elimination, pinned to a dense textbook reference.
+
+``_linalg.rref`` reduces rows forward and back-substitutes once at the end.
+The reduced echelon form is unique, so a plain dense Gauss-Jordan written
+here must give the same matrix on any input, over Q and over Z/p.
+"""
+
+import copy
+
+from hypothesis import given, settings, strategies as st
+
+from ghderiv import _linalg
+from ghderiv.ring import QQ, Zmod
+
+
+def dense_gauss_jordan(rows, ncols, ring):
+    """Textbook Gauss-Jordan on a dense copy: for each column in turn, swap
+    a nonzero entry up, scale it to 1 and clear the column everywhere else.
+    Returns the nonzero rows."""
+    m = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        below = [i for i in range(rank, len(m)) if m[i][c]]
+        if not below:
+            continue
+        i = below[0]
+        m[rank], m[i] = m[i], m[rank]
+        inv = ring.inv(m[rank][c])
+        m[rank] = [ring.reduce(v * inv) for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [ring.reduce(a - f * b) for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+@st.composite
+def sparse_system(draw):
+    ring = draw(st.sampled_from([QQ, Zmod(2), Zmod(5)]))
+    ncols = draw(st.integers(1, 10))
+    if ring.m is None:
+        values = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    else:
+        values = st.integers(1, ring.m - 1)
+    values = values.filter(bool).map(ring.coerce)
+    row = st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    return ring, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_system(), st.randoms(use_true_random=False))
+def test_rref_matches_dense_gauss_jordan(system, rnd):
+    ring, ncols, rows = system
+    before = copy.deepcopy(rows)
+    echelon, pivots = _linalg.rref(iter(rows), ring)
+    assert rows == before
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in echelon]
+    assert dense == dense_gauss_jordan(rows, ncols, ring)
+    assert pivots == {min(row): k for k, row in enumerate(echelon)}
+    # Stored values are nonzero, and whole numbers are ints.
+    for row in echelon:
+        for v in row.values():
+            assert v and (type(v) is int or v.denominator != 1)
+    # Each pivot column is nonzero in its own row and nowhere else.
+    for c, k in pivots.items():
+        assert [i for i, row in enumerate(echelon) if c in row] == [k]
+        assert echelon[k][c] == 1
+    # Row order does not matter.
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert _linalg.rref(shuffled, ring) == (echelon, pivots)
+    # Every input row lies in the span of the echelon.
+    for row in rows:
+        assert _linalg.residual(row, echelon, pivots, ring) == {}

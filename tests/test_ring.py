@@ -169,11 +169,12 @@ def test_only_exact_inputs_are_coerced():
 
 
 def assert_raw(ring, values):
-    """Each value is in the ring's normal form: int or Fraction over Q
-    (never a float, never boxed), an int in [0, m) over Z/mZ."""
+    """Each value is in the ring's normal form: over Q an int, or a Fraction
+    that is not a whole number (never a float, never boxed); an int in
+    [0, m) over Z/mZ."""
     for v in values:
         if ring.m is None:
-            assert type(v) in (int, Fraction), repr(v)
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
         else:
             assert type(v) is int and 0 <= v < ring.m, repr(v)
 
@@ -235,3 +236,16 @@ def test_solver_output_is_raw(data):
         ce = check(kind, t).counterexample
         if ce is not None:
             assert_raw(ring, ce.lhs.coords + ce.rhs.coords)
+
+
+@pytest.mark.parametrize("spec", ["tn3", "quat", "poly(ring,1)"])
+def test_whole_numbers_in_solver_output_are_ints(solved, spec):
+    # Normalising pivot rows multiplies by Fraction inverses; whole-number
+    # products of that must come back as ints.
+    sp = solved(spec, IdentityKind.JORDAN_LEFT_GH)
+    for row in sp.canonical:
+        assert_raw(QQ, row)
+    for t in sp.basis:
+        for m in (t.f, t.g, t.h):
+            for row in m.mat:
+                assert_raw(QQ, row)

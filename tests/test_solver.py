@@ -125,13 +125,28 @@ def test_verify_space_rejects_tampering(solved):
     sp = solved("tn2", JLGH)
     t2 = sp.alg
     # A planted non-solution basis vector must trip the substitution check.
+    planted = MapTriple(*[LinMap.identity(t2)] * 3)
     fake = dataclasses.replace(
-        sp, basis=sp.basis[:-1] + (MapTriple(*[LinMap.identity(t2)] * 3),)
+        sp,
+        basis=sp.basis[:-1] + (planted,),
+        canonical=sp.canonical[:-1] + (tuple(triple_to_vec(planted)),),
     )
     assert not verify_space(fake)
+    # The basis must be the canonical matrix reshaped into triples.
+    assert not verify_space(dataclasses.replace(sp, basis=sp.basis[:-1] + (planted,)))
+    row = list(sp.canonical[0])
+    row[-1] = row[-1] + 1
+    assert not verify_space(dataclasses.replace(sp, canonical=(tuple(row),) + sp.canonical[1:]))
+    # Solutions spanning the right space, but not in reduced echelon form,
+    # pass substitution and rank-nullity; the permuted re-solve must catch them.
+    summed = tuple(a + b for a, b in zip(sp.canonical[0], sp.canonical[1]))
+    canonical = (summed,) + sp.canonical[1:]
+    assert not verify_space(dataclasses.replace(
+        sp, canonical=canonical, basis=tuple(vec_to_triple(t2, v) for v in canonical)))
     # A wrong dimension must trip rank-nullity.
     assert not verify_space(dataclasses.replace(sp, dim=sp.dim + 1,
-                                                basis=sp.basis + (sp.basis[0],)))
+                                                basis=sp.basis + (sp.basis[0],),
+                                                canonical=sp.canonical + (sp.canonical[0],)))
     assert not verify_space(dataclasses.replace(sp, rank=sp.rank - 1))
 
 
