@@ -104,19 +104,19 @@ def rref(rows, ring: RingSpec):
 
 def nullspace(echelon, pivots, ncols: int, ring: RingSpec):
     """Basis of the solution set of the homogeneous system, one vector per
-    free column, in ascending free-column order."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = {fc: 1}
-        for pc, idx in pivots.items():
-            coef = echelon[idx].get(fc)
-            if coef:
-                v[pc] = ring.reduce(-coef)
-        basis.append(v)
-    return basis
+    free column, in ascending free-column order.
+
+    The vector of free column ``fc`` holds 1 at ``fc`` and, at each pivot
+    column, minus that pivot row's entry in ``fc``.  In reduced form a
+    pivot row holds no other pivot column, so one walk over the pivot rows'
+    entries, in ascending pivot order, fills every vector.
+    """
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    for pc, idx in pivots.items():
+        for c, v in echelon[idx].items():
+            if c != pc:
+                basis[c][pc] = ring.reduce(-v)
+    return list(basis.values())
 
 
 def residual(vec: dict, echelon, pivots, ring: RingSpec) -> dict:

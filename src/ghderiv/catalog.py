@@ -33,9 +33,9 @@ from .algebra import (
 from .linmap import (
     LinMap,
     MapTriple,
+    _poly_lift_triple,
     left_mul_map,
     mn_jordan_family,
-    poly_lift_triple,
     quat_jordan_family,
     right_mul_map,
     tensor_extend_triple,
@@ -629,16 +629,20 @@ def _run_tensor_transfer(aname, sname):
 
 def _run_polylift(spec, kind, want):
     """Lift the solutions drawn 50 times at random, each distinct one once;
-    ``want`` is the number of distinct solutions the claim names."""
+    ``want`` is the number of distinct solutions the claim names.  Every
+    lift lands in one polynomial algebra, on which the identity is compiled
+    once and checked on each lift."""
     def run(ctx):
         sp = ctx.space(ctx.alg(spec), kind)
         rng = random.Random(f"{spec}:{kind.value}")
         draws = {tuple(rng.randint(-9, 9) for _ in range(sp.dim)): None for _ in range(50)}
         require(len(draws) == want, f"{len(draws)} distinct solutions, expected {want}")
+        poly = truncated_poly(sp.alg, 3)
+        compiled = solver.CompiledCheck(poly, kind)
         for coeffs in draws:
-            lifted = poly_lift_triple(sp.combination(coeffs), 3)
+            lifted = _poly_lift_triple(poly, sp.combination(coeffs))
             require(
-                ident.check(kind, lifted).holds,
+                compiled.check(lifted).holds,
                 f"lift of a random solution fails {kind.value}",
             )
         checked = (

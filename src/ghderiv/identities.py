@@ -5,6 +5,11 @@ templates relating f, g and h through products in the algebra.  The
 checkers here evaluate the table on elements; ``solver.build_system``
 compiles the same table into linear rows.
 
+This element interpreter is the reference evaluator: the CLI ``check``
+command and the substitution certificate of ``solver.verify_space`` use
+it.  ``solver.CompiledCheck`` is the other one, for many triples on one
+algebra: it evaluates compiled rows and gives the same report.
+
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;
 checkers scan pairs in lexicographic order and report the first failure
@@ -246,22 +251,50 @@ def sides_at_pair(
     return _evaluate(templates_at(kind, i, j), t, x, (i, j), {})
 
 
+def _vanishes(templates, x: tuple, live: dict, table) -> bool:
+    """Is every term of every template zero at the basis pair x = (i, j)?
+
+    ``live[name]`` holds the nonzero columns of that map.  M(e_p)e_q and
+    e_q M(e_p) vanish when column p of M is zero; M(e_p e_q) vanishes when
+    the support of e_p e_q misses every nonzero column of M.
+    """
+    for lhs, rhs in templates:
+        for _, name, shape in lhs + rhs:
+            where, arg, other = SHAPES[shape]
+            cols = live[name]
+            if where == "apply":
+                if any(k in cols for k, _ in table[x[arg]][x[other]]):
+                    return False
+            elif x[arg] in cols:
+                return False
+    return True
+
+
 def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
     """Scan all ordered basis pairs in lexicographic order; first failure wins.
 
-    One memo serves the whole scan, so each image of a basis vector, or of
-    a sum of basis products, is computed once.
+    A pair at which every term is zero holds trivially and is skipped.  One
+    memo serves the whole scan, so each image of a basis vector, or of a
+    sum of basis products, is computed once.
     """
     alg = t.alg
+    table = alg._pair_table
+    live = {
+        name: {j for j, col in enumerate(zip(*m.mat)) if any(col)}
+        for name, m in (("f", t.f), ("g", t.g), ("h", t.h))
+    }
     basis: dict[int, AlgElement] = {}
     memo: dict = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
+            templates = templates_at(kind, i, j)
+            if _vanishes(templates, (i, j), live, table):
+                continue
             for k in (i, j):
                 if k not in basis:
                     basis[k] = alg.basis_element(k)
             x = (basis[i], basis[j])
-            for lhs, rhs in _evaluate(templates_at(kind, i, j), t, x, (i, j), memo):
+            for lhs, rhs in _evaluate(templates, t, x, (i, j), memo):
                 if lhs.coords != rhs.coords:
                     return CheckReport(False, Counterexample(i, j, lhs, rhs))
     return CheckReport(True)

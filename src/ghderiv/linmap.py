@@ -332,24 +332,29 @@ def quat_jordan_family(alpha: AlgElement) -> MapTriple:
 def poly_lift(f: LinMap, degree: int) -> LinMap:
     """Degreewise lift to the truncated polynomial algebra:
     e_i x^t -> f(e_i) x^t."""
-    base = f.alg
-    lifted = truncated_poly(base, degree)
-    d = base.dim
-    cols = []
-    for t in range(degree + 1):
-        for i in range(d):
-            col = [0] * lifted.dim
-            fc = f.column(i)
-            for m in range(d):
-                col[t * d + m] = fc[m]
-            cols.append(col)
-    return LinMap.from_columns(lifted, cols)
+    return _lift_into(truncated_poly(f.alg, degree), f)
 
 
 def poly_lift_triple(t: MapTriple, degree: int) -> MapTriple:
-    return MapTriple(
-        poly_lift(t.f, degree), poly_lift(t.g, degree), poly_lift(t.h, degree)
-    )
+    return _poly_lift_triple(truncated_poly(t.alg, degree), t)
+
+
+def _poly_lift_triple(lifted: StructureAlgebra, t: MapTriple) -> MapTriple:
+    """Lift all three maps into ``lifted``, one algebra instance for all."""
+    return MapTriple(*(_lift_into(lifted, m) for m in (t.f, t.g, t.h)))
+
+
+def _lift_into(lifted: StructureAlgebra, f: LinMap) -> LinMap:
+    """``poly_lift`` into ``lifted``, a truncated polynomial algebra over
+    f's algebra, built by the caller."""
+    d = f.alg.dim
+    cols = []
+    for t in range(lifted.dim // d):
+        for i in range(d):
+            col = [0] * lifted.dim
+            col[t * d:(t + 1) * d] = f.column(i)
+            cols.append(col)
+    return LinMap(lifted, tuple(zip(*cols)))
 
 
 def tensor_extend(f: LinMap, s: StructureAlgebra) -> LinMap:

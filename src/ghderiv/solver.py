@@ -16,21 +16,33 @@ unique, so solution spaces can be compared by comparing matrices.
 Solving needs a field-like ring (Q or prime modulus): composite moduli
 raise CompositeModulusUnsupported.  The identity checkers keep working
 over composite moduli; only elimination is restricted.
+
+Rows are also an evaluator.  Indexed by column, they let a triple be
+tested by adding each of its nonzero entries into the rows of its column:
+``LinearSystem.evaluate`` does so, and ``CompiledCheck`` streams the
+identity rows into such an index to check many triples on one algebra,
+with the report of ``identities.check``, the element interpreter that
+stays the reference for single checks and certificates.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from . import _linalg
 from .ring import RingMismatch
-from .algebra import StructureAlgebra
+from .algebra import AlgebraMismatch, StructureAlgebra, _same_algebra
 from .linmap import LinMap, MapTriple, triple_to_doc
 from . import identities
-from .identities import IdentityKind
+from .identities import CheckReport, Counterexample, IdentityKind
 
 __all__ = [
+    "CompiledCheck",
     "Constraints",
     "LinearSystem",
     "SolutionSpace",
@@ -107,6 +119,46 @@ def vec_to_triple(alg: StructureAlgebra, vec) -> MapTriple:
     return MapTriple(block(0), block(d * d), block(2 * d * d))
 
 
+def _column_index(rows) -> dict:
+    """Index a stream of sparse rows by column: column -> (row ids, values).
+
+    Row ids are numbered in stream order and kept in an ``array``, the
+    values beside them in a list; the rows themselves are not kept.  Empty
+    rows take a row id and nothing else.
+    """
+    index: dict = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            entry = index.get(c)
+            if entry is None:
+                entry = index[c] = (array("l"), [])
+            entry[0].append(r)
+            entry[1].append(v)
+    return index
+
+
+def _nonzero_rows(index: dict, vec, reduce) -> list:
+    """The ids of the indexed rows that ``vec`` does not kill, unordered.
+
+    Each nonzero of ``vec`` is added into the rows of its column only, so
+    the cost is the number of index entries in the columns ``vec`` holds.
+    A positive multiple of ``vec`` kills the same rows over Q, so its
+    denominators are cleared first and the sums are int sums; residues
+    over Z/m are ints, whose denominators are 1, and stay as they are.
+    """
+    scale = lcm(*(x.denominator for x in vec))
+    if scale != 1:
+        vec = [x.numerator * (scale // x.denominator) for x in vec]
+    acc: dict = {}
+    get = acc.get
+    for c, x in enumerate(vec):
+        if x and c in index:
+            ids, vals = index[c]
+            for r, v in zip(ids, vals):
+                acc[r] = get(r, 0) + v * x
+    return [r for r, s in acc.items() if reduce(s)]
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The compiled homogeneous system; rows are sparse {column: nonzero raw value}."""
@@ -134,13 +186,17 @@ class LinearSystem:
             "rows": [[fmt(v) for v in row] for row in self.dense_rows()],
         }
 
+    @cached_property
+    def _index(self) -> dict:
+        return _column_index(self.rows)
+
     def evaluate(self, t: MapTriple) -> bool:
-        """Substitution check: does the flattened triple kill every row?"""
-        vec = triple_to_vec(t)
-        reduce = self.alg.ring.reduce
-        return not any(
-            reduce(sum(v * vec[c] for c, v in row.items())) for row in self.rows
-        )
+        """Substitution check: does the flattened triple kill every row?
+
+        Reads the rows through their column index, built on first use, so
+        rows that share no column with the triple are never visited.
+        """
+        return not _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
@@ -188,6 +244,49 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
             for m in range(d):
                 for rows in blocks:
                     yield rows[m]
+
+
+class CompiledCheck:
+    """``identities.check`` for one kind on one algebra, run on compiled rows.
+
+    ``CompiledCheck(alg, kind)`` compiles the identity once, to check many
+    triples on one algebra: compiling costs about as much as a few
+    interpreted checks.  The identity rows are indexed by column as they
+    stream out of the compiler, and only the index and the row count at
+    the end of each basis pair are kept.  ``check(t)`` returns the same
+    report as ``identities.check(kind, t)``, counterexample included: rows
+    are numbered in (i, j, coordinate, template) order, so the smallest
+    row the triple does not kill lies at the lex-first failing pair, where
+    the element interpreter then recomputes both sides of every template
+    and reports the first unequal one.
+    """
+
+    def __init__(self, alg: StructureAlgebra, kind: IdentityKind):
+        self.alg = alg
+        self.kind = kind
+        d = alg.dim
+        self._index = _column_index(_emit_identity_rows(alg, kind))
+        # _pair_ends[p] is the number of rows up to and including basis pair
+        # p = i * d + j: one per output coordinate of each template there.
+        self._pair_ends = array("l")
+        n = 0
+        for i in range(d):
+            for j in range(d):
+                n += d * len(identities.templates_at(kind, i, j))
+                self._pair_ends.append(n)
+
+    def check(self, t: MapTriple) -> CheckReport:
+        if not _same_algebra(t.alg, self.alg):
+            raise AlgebraMismatch("triple and compiled check live on different algebras")
+        failing = _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
+        if not failing:
+            return CheckReport(True)
+        i, j = divmod(bisect_right(self._pair_ends, min(failing)), self.alg.dim)
+        for lhs, rhs in identities.sides_at_pair(self.kind, t, i, j):
+            if lhs.coords != rhs.coords:
+                return CheckReport(False, Counterexample(i, j, lhs, rhs))
+        raise AssertionError(f"compiled rows of {self.kind.value} fail at pair "
+                             f"({i}, {j}), where the identity holds")
 
 
 def build_system(

@@ -1,0 +1,148 @@
+"""The two identity evaluators, pinned to a brute-force one written here.
+
+``identities.check`` interprets the identity table on elements and skips
+the basis pairs at which every term is zero; ``solver.CompiledCheck``
+evaluates compiled rows through a column index and recomputes only the
+failing pair.  Both must give the report that evaluating every identity,
+written out below by hand, at every ordered basis pair gives: the same
+verdict, and the same lex-first counterexample with both sides.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ghderiv.algebra import AlgebraMismatch, from_spec
+from ghderiv.identities import IdentityKind, check
+from ghderiv.linmap import LinMap, MapTriple
+from ghderiv.ring import QQ, Zmod
+from ghderiv.solver import CompiledCheck
+
+K = IdentityKind
+
+
+def _sum(*vs):
+    return [sum(cs) for cs in zip(*vs)]
+
+
+def _twice(v):
+    return [2 * c for c in v]
+
+
+# kind -> (f, g, h, a, b, mul) -> [(lhs, rhs), ...], one pair per equation,
+# in the order the identities are stated; dense coordinate lists.
+BRUTE = {
+    K.DERIVATION: lambda f, g, h, a, b, m: [
+        (f(m(a, b)), _sum(m(f(a), b), m(a, f(b))))],
+    K.LEFT_DERIVATION: lambda f, g, h, a, b, m: [
+        (f(m(a, b)), _sum(m(a, f(b)), m(b, f(a))))],
+    K.GH_DERIVATION: lambda f, g, h, a, b, m: [
+        (f(m(a, b)), _sum(m(g(a), b), m(a, h(b)))),
+        (f(m(a, b)), _sum(m(h(a), b), m(a, g(b))))],
+    K.LEFT_GH: lambda f, g, h, a, b, m: [
+        (f(m(a, b)), _sum(m(a, g(b)), m(b, h(a)))),
+        (f(m(a, b)), _sum(m(a, h(b)), m(b, g(a))))],
+    K.JORDAN_LEFT_GH: lambda f, g, h, a, b, m: [
+        (_sum(f(m(a, b)), f(m(b, a))), _twice(_sum(m(a, g(b)), m(b, h(a)))))],
+    K.LEFT_CENTRALIZER: lambda f, g, h, a, b, m: [(f(m(a, b)), m(f(a), b))],
+    K.RIGHT_CENTRALIZER: lambda f, g, h, a, b, m: [(f(m(a, b)), m(a, f(b)))],
+}
+
+
+def _jordan_derivation(i, j):
+    # D(a^2) = D(a)a + aD(a) on basis squares, its polarization for i < j.
+    if i == j:
+        return lambda f, g, h, a, b, m: [(f(m(a, a)), _sum(m(f(a), a), m(a, f(a))))]
+    if i < j:
+        return lambda f, g, h, a, b, m: [(
+            _sum(f(m(a, b)), f(m(b, a))),
+            _sum(m(f(a), b), m(a, f(b)), m(f(b), a), m(b, f(a))))]
+    return lambda *_: []
+
+
+def brute_force_doc(kind, t):
+    """Evaluate the identity at every ordered basis pair in lex order."""
+    alg = t.alg
+    d, ring = alg.dim, alg.ring
+
+    def mul(a, b):
+        return [sum(a[p] * b[q] * alg.sc[p][q][k] for p in range(d) for q in range(d))
+                for k in range(d)]
+
+    def apply(m):
+        return lambda v: [sum(m.mat[r][c] * v[c] for c in range(d)) for r in range(d)]
+
+    f, g, h = apply(t.f), apply(t.g), apply(t.h)
+    for i in range(d):
+        for j in range(d):
+            a = [int(k == i) for k in range(d)]
+            b = [int(k == j) for k in range(d)]
+            sides = (_jordan_derivation(i, j) if kind is K.JORDAN_DERIVATION
+                     else BRUTE[kind])(f, g, h, a, b, mul)
+            for lhs, rhs in sides:
+                lhs, rhs = [ring.reduce(v) for v in lhs], [ring.reduce(v) for v in rhs]
+                if lhs != rhs:
+                    return {"holds": False, "counterexample": {
+                        "i": i, "j": j,
+                        "lhs": [ring.format(v) for v in lhs],
+                        "rhs": [ring.format(v) for v in rhs]}}
+    return {"holds": True}
+
+
+SPECS = {
+    QQ: ("tn2", "tn3", "mn2", "quat", "poly(ring,1)", "poly(tn2,1)"),
+    Zmod(4): ("tn2", "mn2", "poly(ring,2)"),
+    Zmod(5): ("tn2", "tn3", "mn2"),
+}
+
+
+@st.composite
+def kind_and_triple(draw, solved):
+    ring = draw(st.sampled_from(list(SPECS)))
+    spec = draw(st.sampled_from(SPECS[ring]))
+    kind = draw(st.sampled_from(list(IdentityKind)))
+    alg = from_spec(spec, ring)
+    d = alg.dim
+    values = (st.integers(-3, 3) if ring.m is None else st.integers(0, ring.m - 1))
+    base = draw(st.sampled_from(["zero", "identity", "solution"]))
+    if base == "solution" and ring.is_field():
+        sp = solved(spec, kind, ring=ring)
+        sol = sp.combination([draw(values) for _ in range(sp.dim)])
+        mats = [list(map(list, m.mat)) for m in (sol.f, sol.g, sol.h)]
+    elif base == "identity":
+        mats = [[[int(r == c) for c in range(d)] for r in range(d)] for _ in range(3)]
+    else:
+        mats = [[[0] * d for _ in range(d)] for _ in range(3)]
+    if draw(st.booleans()):
+        # Dense: every entry drawn; such triples nearly always fail early.
+        mats = [[[draw(values) for _ in range(d)] for _ in range(d)] for _ in range(3)]
+    else:
+        # Sparse: a few entries changed, so failures can sit at any pair.
+        for _ in range(draw(st.integers(0, 3))):
+            m, r, c = draw(st.integers(0, 2)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            mats[m][r][c] = draw(values)
+    return kind, MapTriple(*(LinMap.from_rows(alg, m) for m in mats))
+
+
+@pytest.fixture(scope="module")
+def draw_case(solved):
+    return kind_and_triple(solved)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_check_and_interpreter_match_brute_force(draw_case, data):
+    kind, t = data.draw(draw_case)
+    want = brute_force_doc(kind, t)
+    assert check(kind, t).to_doc() == want
+    report = CompiledCheck(t.alg, kind).check(t)
+    assert report.to_doc() == want
+    assert bool(report) is want["holds"]
+
+
+def test_compiled_check_rejects_another_algebra():
+    compiled = CompiledCheck(from_spec("tn2"), K.LEFT_GH)
+    other = from_spec("tn2", Zmod(5))
+    with pytest.raises(AlgebraMismatch):
+        compiled.check(MapTriple.zero(other))
+    # A separately built, equal algebra is the same algebra.
+    assert compiled.check(MapTriple.zero(from_spec("tn2"))).holds

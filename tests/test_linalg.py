@@ -74,3 +74,33 @@ def test_rref_matches_dense_gauss_jordan(system, rnd):
     # Every input row lies in the span of the echelon.
     for row in rows:
         assert _linalg.residual(row, echelon, pivots, ring) == {}
+
+
+def dense_nullspace(rows, ncols, ring):
+    """One vector per free column of the dense reduced form: 1 there, minus
+    each pivot row's entry in that column at the pivot."""
+    reduced = dense_gauss_jordan(rows, ncols, ring)
+    pivots = [next(c for c, v in enumerate(r) if v) for r in reduced]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in zip(reduced, pivots):
+            vec[pc] = ring.reduce(-r[fc])
+        basis.append({c: v for c, v in enumerate(vec) if v})
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_system())
+def test_nullspace_matches_dense_reference(system):
+    ring, ncols, rows = system
+    echelon, pivots = _linalg.rref(rows, ring)
+    basis = _linalg.nullspace(echelon, pivots, ncols, ring)
+    assert basis == dense_nullspace(rows, ncols, ring)
+    assert len(basis) == ncols - len(echelon)
+    for vec in basis:
+        for row in rows:
+            assert not ring.reduce(sum(v * vec.get(c, 0) for c, v in row.items()))

@@ -21,6 +21,7 @@ from ghderiv.algebra import upper_triangular
 from ghderiv.linmap import LinMap, MapTriple, tn_jordan_family, tn_left_family
 from ghderiv.identities import IdentityKind, check
 from ghderiv.solver import (
+    CompiledCheck,
     Constraints,
     build_system,
     canonical_span,
@@ -329,7 +330,8 @@ def _random_triple(alg, rng):
 
 def test_system_evaluate(solved):
     """The compiled rows and the checker read one identity table, so for
-    every kind they agree on solutions and on random triples that fail."""
+    every kind they agree on solutions and on random triples that fail,
+    and the compiled check gives the checker's report."""
     sp = solved("tn2", LGH)
     sys = build_system(sp.alg, LGH)
     for t in sp.basis:
@@ -342,16 +344,19 @@ def test_system_evaluate(solved):
                            ("poly(ring,1)", QQ)):
             sp = solved(spec, kind, ring=ring)
             sys = build_system(sp.alg, kind)
+            compiled = CompiledCheck(sp.alg, kind)
             holding = list(sp.basis)
             if sp.dim:
                 holding.append(sp.combination([rng.randint(-5, 5) for _ in range(sp.dim)]))
             for t in holding:
                 assert sys.evaluate(t) and check(kind, t).holds, (spec, kind)
+                assert compiled.check(t).to_doc() == {"holds": True}, (spec, kind)
             for _ in range(4):
                 t = _random_triple(sp.alg, rng)
-                holds = check(kind, t).holds
-                assert sys.evaluate(t) == holds, (spec, kind)
-                failing += not holds
+                report = check(kind, t)
+                assert sys.evaluate(t) == report.holds, (spec, kind)
+                assert compiled.check(t).to_doc() == report.to_doc(), (spec, kind)
+                failing += not report.holds
         assert failing, f"no random triple fails {kind.value}"
 
 
