@@ -12,21 +12,25 @@ saying how the expected value was fixed:
 
 Entries with status ``note`` are findings for inspection; they never fail
 the suite.  Everything else must pass.
+
+Each entry is declared once, in ``entries()``; everything else about it is
+derived from that declaration.  A worked case carries its ``witness``, a
+builder of the counterexample triple, and runs a check on what the witness
+builds; ``worked_cases()`` collects the witnesses in registry order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .ring import QQ, CompositeModulusUnsupported, RingSpec, Zmod
 from . import algebra as alg_mod
 from .algebra import (
-    AlgElement,
     StructureAlgebra,
     from_spec,
     is_commutative,
-    ring_as_algebra,
     tensor_product,
     truncated_poly,
 )
@@ -41,7 +45,6 @@ from .linmap import (
     tensor_extend_triple,
     tn_jordan_family,
     tn_left_family,
-    triple_to_doc,
 )
 from . import identities as ident
 from .identities import IdentityKind
@@ -81,6 +84,7 @@ class CatalogEntry:
     origin: str  # "formula" | "elementary" | "recomputed"
     run: object  # callable(Context) -> (status, detail)
     note_only: bool = False
+    witness: object = None  # worked cases: callable(Context) -> MapTriple
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,16 @@ def q_pair_algebra() -> StructureAlgebra:
     return StructureAlgebra(ring=QQ, dim=2, labels=("u", "v"), sc=sc, unity=(1, 1))
 
 
+# Names of the algebras in titles and claims: built-in specs, and the
+# tensor-transfer bases with the algebra each stands for.
+_NICE = {"tn2": "T2", "mn2": "M2", "mn3": "M3", "quat": "the quaternions"}
+_TENSOR_BASES = {
+    "line": (lambda ctx: ctx.alg("ring"), "Q"),
+    "dual": (lambda ctx: ctx.alg("poly(ring,1)"), "Q[x]/(x^2)"),
+    "split": (lambda ctx: q_pair_algebra(), "Q x Q"),
+}
+
+
 def _family_span_matches(space, triples) -> bool:
     return solver.canonical_span(space.alg, triples) == space.canonical
 
@@ -191,32 +205,24 @@ def _tri_left_generators(n: int, ring=QQ):
     return out
 
 
-def _mn_jordan_generators(n: int, a: StructureAlgebra):
-    return [mn_jordan_family(n, a.basis_element(k)) for k in range(a.dim)]
-
-
-def _quat_jordan_generators(q: StructureAlgebra):
-    return [quat_jordan_family(q.basis_element(k)) for k in range(4)]
-
-
 # ---------------------------------------------------------------------------
-# the worked cases (exact counterexamples with frozen witnesses)
+# the worked cases: a witness (Context -> MapTriple) and a check of it each
 # ---------------------------------------------------------------------------
 
 
-def _case_z4():
-    a = ring_as_algebra(Zmod(4))
+def _case_z4(ctx):
+    a = ctx.alg("ring", Zmod(4))
     f = LinMap.from_rows(a, [[2]])
-    return a, MapTriple(f, f, f)
+    return MapTriple(f, f, f)
 
 
 def _case_t2_left_not_two_sided(ctx):
     # The coherent variant: g = right multiplication by e11.  Left
     # multiplication by e11 fails the one-sided identity as well, which the
-    # run function checks explicitly.
+    # check confirms explicitly.
     t2 = ctx.alg("tn2")
     g = right_mul_map(t2.basis_element(0))
-    return t2, MapTriple(LinMap.zero(t2), g, -g)
+    return MapTriple(LinMap.zero(t2), g, -g)
 
 
 def _case_t2_two_sided_not_left(ctx):
@@ -224,14 +230,14 @@ def _case_t2_two_sided_not_left(ctx):
     a = t2.element([1, 1, 1])
     g = left_mul_map(a) - right_mul_map(a)
     f = LinMap.identity(t2) + g
-    return t2, MapTriple(f, f, g)
+    return MapTriple(f, f, g)
 
 
-def _case_t2_jordan_not_left():
+def _case_t2_jordan_not_left(ctx):
     return tn_jordan_family(2, [1, 2, 3], [4, 5])
 
 
-def _case_t2_left_nonzero():
+def _case_t2_left_nonzero(ctx):
     return tn_left_family(2, [1, 0], [0, 1])
 
 
@@ -239,12 +245,12 @@ def _case_t2_jordan_not_centralizer(ctx):
     t2 = ctx.alg("tn2")
     g = LinMap.from_rows(t2, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     h = LinMap.from_rows(t2, [[-1, 0, 0], [1, -1, 0], [0, 0, -1]])
-    return t2, MapTriple(g + h, g, h)
+    return MapTriple(g + h, g, h)
 
 
 def _case_m2_jordan_not_left(ctx):
     m2 = ctx.alg("mn2")
-    return m2, mn_jordan_family(2, m2.element([1, 2, 3, 4]))
+    return mn_jordan_family(2, m2.element([1, 2, 3, 4]))
 
 
 def _case_m2_jordan_not_centralizer(ctx):
@@ -253,42 +259,30 @@ def _case_m2_jordan_not_centralizer(ctx):
         m2,
         [[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, -1], [0, 0, -1, 0]],
     )
-    return m2, MapTriple(g.scale(2), g, g)
+    return MapTriple(g.scale(2), g, g)
 
 
 def _case_quat_doubling(ctx):
-    q = ctx.alg("quat")
-    return q, quat_jordan_family(q.one())
+    return quat_jordan_family(ctx.alg("quat").one())
 
 
 def _case_quat_not_left_centralizer(ctx):
-    q = ctx.alg("quat")
-    return q, quat_jordan_family(q.element([1, 2, 3, 4]))
+    return quat_jordan_family(ctx.alg("quat").element([1, 2, 3, 4]))
 
 
 def worked_cases(ctx: Context | None = None) -> dict:
-    """The ten worked counterexample triples, keyed by catalog entry id."""
+    """The worked counterexample triples, keyed by catalog entry id, in
+    registry order."""
     ctx = ctx or Context()
-    return {
-        "case-z4-doubling": _case_z4()[1],
-        "case-t2-left-not-two-sided": _case_t2_left_not_two_sided(ctx)[1],
-        "case-t2-two-sided-not-left": _case_t2_two_sided_not_left(ctx)[1],
-        "case-t2-jordan-not-left": _case_t2_jordan_not_left(),
-        "case-t2-left-nonzero": _case_t2_left_nonzero(),
-        "case-t2-jordan-not-centralizer": _case_t2_jordan_not_centralizer(ctx)[1],
-        "case-m2-jordan-not-left": _case_m2_jordan_not_left(ctx)[1],
-        "case-m2-jordan-not-centralizer": _case_m2_jordan_not_centralizer(ctx)[1],
-        "case-quat-doubling": _case_quat_doubling(ctx)[1],
-        "case-quat-right-not-left-centralizer": _case_quat_not_left_centralizer(ctx)[1],
-    }
+    return {e.id: e.witness(ctx) for e in entries() if e.witness is not None}
 
 
-def _sides(kind, t, a, b, template=0):
-    return ident.identity_sides(kind, t, a, b)[template]
+def _sides(kind, t, a, b):
+    return ident.identity_sides(kind, t, a, b)[0]
 
 
-def _run_case_z4(ctx):
-    a, t = _case_z4()
+def _check_z4(t):
+    a = t.alg
     require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
     rep = ident.is_left_gh_derivation(t)
     require(not rep.holds, "one-sided identity unexpectedly holds")
@@ -307,8 +301,8 @@ def _run_case_z4(ctx):
     return "pass", "doubling passes two-sided, fails one-sided at (1,1): 2 vs 4=0; solver refuses Z/4Z"
 
 
-def _run_case_t2_left_not_two_sided(ctx):
-    t2, t = _case_t2_left_not_two_sided(ctx)
+def _check_t2_left_not_two_sided(t):
+    t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     # Right-multiplication variant: the separation works.
     require(ident.is_left_gh_derivation(t).holds, "one-sided identity fails")
@@ -339,8 +333,8 @@ def _run_case_t2_left_not_two_sided(ctx):
     )
 
 
-def _run_case_t2_two_sided_not_left(ctx):
-    t2, t = _case_t2_two_sided_not_left(ctx)
+def _check_t2_two_sided_not_left(t):
+    t2 = t.alg
     require(ident.is_gh_derivation(t).holds, "two-sided form fails")
     rep = ident.is_left_gh_derivation(t)
     require(not rep.holds, "one-sided identity unexpectedly holds")
@@ -350,8 +344,7 @@ def _run_case_t2_two_sided_not_left(ctx):
     return "pass", "x + (ax - xa): two-sided holds, one-sided fails at (e11, e22) with rhs e12"
 
 
-def _run_case_t2_jordan_not_left(ctx):
-    t = _case_t2_jordan_not_left()
+def _check_t2_jordan_not_left(t):
     t2 = t.alg
     want_f = LinMap.from_rows(t2, [[5, 0, 0], [7, 6, 0], [0, 0, 6]])
     want_g = LinMap.from_rows(t2, [[1, 0, 0], [2, 3, 0], [0, 0, 3]])
@@ -375,8 +368,7 @@ def _run_case_t2_jordan_not_left(ctx):
     return "pass", "family(1,2,3;4,5): two-sided holds, one-sided fails at (e12, e11) with rhs 3e12"
 
 
-def _run_case_t2_left_nonzero(ctx):
-    t = _case_t2_left_nonzero()
+def _check_t2_left_nonzero(t):
     t2 = t.alg
     want_f = LinMap.from_rows(t2, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
     require(t.f == want_f, "family output differs from the frozen matrix")
@@ -390,8 +382,8 @@ def _run_case_t2_left_nonzero(ctx):
     return "pass", "nonzero one-sided solution; two-sided fails at (e11, e11+e12): e11+e12 vs e11+2e12"
 
 
-def _run_case_t2_jordan_not_centralizer(ctx):
-    t2, t = _case_t2_jordan_not_centralizer(ctx)
+def _check_t2_jordan_not_centralizer(t):
+    t2 = t.alg
     require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
     want_f = LinMap.from_rows(t2, [[0, 0, 0], [1, -2, 0], [0, 0, -2]])
     require(t.f == want_f, "f differs from the frozen matrix")
@@ -403,8 +395,8 @@ def _run_case_t2_jordan_not_centralizer(ctx):
     return "pass", "two-sided solution whose f, g, h all fail f(AB) = f(A)B at A=(1,2;0,3), B=(4,5;0,6)"
 
 
-def _run_case_m2_jordan_not_left(ctx):
-    m2, t = _case_m2_jordan_not_left(ctx)
+def _check_m2_jordan_not_left(t):
+    m2 = t.alg
     want_f = LinMap.from_rows(
         m2, [[2, 6, 0, 0], [4, 8, 0, 0], [0, 0, 2, 6], [0, 0, 4, 8]]
     )
@@ -421,8 +413,8 @@ def _run_case_m2_jordan_not_left(ctx):
     return "pass", "right-multiplication family at (1,2;3,4): one-sided fails at (e12, e11) with rhs 3e11+4e12"
 
 
-def _run_case_m2_jordan_not_centralizer(ctx):
-    m2, t = _case_m2_jordan_not_centralizer(ctx)
+def _check_m2_jordan_not_centralizer(t):
+    m2 = t.alg
     require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
     alpha = t.g(m2.one())
     require(
@@ -439,8 +431,8 @@ def _run_case_m2_jordan_not_centralizer(ctx):
     return "pass", "g = right mult by e11-e12-e21 (recovered by solving); not a left centralizer at A=(1,2;3,4), B=(5,6;7,8)"
 
 
-def _run_case_quat_doubling(ctx):
-    q, t = _case_quat_doubling(ctx)
+def _check_quat_doubling(t):
+    q = t.alg
     require(t.f == LinMap.identity(q).scale(2), "f is not doubling")
     require(t.g == LinMap.identity(q), "g is not the identity")
     require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
@@ -453,8 +445,8 @@ def _run_case_quat_doubling(ctx):
     return "pass", "doubling on the quaternions: two-sided holds, one-sided fails at (i, j): f(k)=2k vs ig(j)+jg(i)=0"
 
 
-def _run_case_quat_not_left_centralizer(ctx):
-    q, t = _case_quat_not_left_centralizer(ctx)
+def _check_quat_not_left_centralizer(t):
+    q = t.alg
     # Frozen columns of right multiplication by 1+2i+3j+4k.
     want_g = LinMap.from_columns(
         q,
@@ -476,59 +468,26 @@ def _run_case_quat_not_left_centralizer(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _run_dim_tri_jordan(n, want):
+def _run_dim(spec, kind, want, generators, detail):
+    """The space of ``kind`` on ``spec`` has dimension ``want`` and is
+    spanned by ``generators(algebra)``, a closed-form family."""
     def run(ctx):
-        sp = ctx.space(ctx.alg(f"tn{n}"), JLGH)
+        a = ctx.alg(spec)
+        sp = ctx.space(a, kind)
         require(sp.dim == want, f"dim {sp.dim}, expected {want}")
         require(
-            _family_span_matches(sp, _tri_jordan_generators(n)),
+            _family_span_matches(sp, generators(a)),
             "family span differs from the solved space",
         )
-        return "pass", f"dim = {want} = n(n+3)/2; family span matches; certificates ok"
+        return "pass", detail
     return run
 
 
-def _run_dim_tri_left(n, want):
-    def run(ctx):
-        sp = ctx.space(ctx.alg(f"tn{n}"), LGH)
-        require(sp.dim == want, f"dim {sp.dim}, expected {want}")
-        require(
-            _family_span_matches(sp, _tri_left_generators(n)),
-            "family span differs from the solved space",
-        )
-        return "pass", f"dim = {want} = 2n; family span matches; certificates ok"
-    return run
-
-
-def _run_dim_full_jordan(n, want):
-    def run(ctx):
-        a = ctx.alg(f"mn{n}")
-        sp = ctx.space(a, JLGH)
-        require(sp.dim == want, f"dim {sp.dim}, expected {want}")
-        require(
-            _family_span_matches(sp, _mn_jordan_generators(n, a)),
-            "family span differs from the solved space",
-        )
-        return "pass", f"dim = {want} = n^2; family span matches; certificates ok"
-    return run
-
-
-def _run_dim_quat_jordan(ctx):
-    q = ctx.alg("quat")
-    sp = ctx.space(q, JLGH)
-    require(sp.dim == 4, f"dim {sp.dim}, expected 4")
-    require(
-        _family_span_matches(sp, _quat_jordan_generators(q)),
-        "family span differs from the solved space",
-    )
-    return "pass", "dim = 4; equals the right-multiplication family; certificates ok"
-
-
-def _run_vanish(spec, kind, constraints, what):
+def _run_vanish(spec, kind, constraints, detail):
     def run(ctx):
         sp = ctx.space(ctx.alg(spec), kind, constraints)
         require(sp.dim == 0, f"dim {sp.dim}, expected 0")
-        return "pass", f"only the zero solution for {what}"
+        return "pass", detail
     return run
 
 
@@ -580,32 +539,15 @@ def _run_quat_left_imaginary(ctx):
     return "pass", "one-sided space already satisfies f(i) = f(j) = f(k) = 0"
 
 
-def _run_quat_jordan_imaginary(ctx):
-    q = ctx.alg("quat")
-    sp = ctx.space(q, JLGH, Constraints(f_zero_basis=(1, 2, 3)))
-    require(sp.dim == 0, f"dim {sp.dim}, expected 0")
-    return "pass", "two-sided solutions with f(i) = f(j) = f(k) = 0 are zero"
-
-
 # ---------------------------------------------------------------------------
 # transfer entries
 # ---------------------------------------------------------------------------
 
 
-def _base_algebra(ctx, name):
-    if name == "line":
-        return ctx.alg("ring")
-    if name == "dual":
-        return ctx.alg("poly(ring,1)")
-    if name == "split":
-        return q_pair_algebra()
-    raise ValueError(name)
-
-
 def _run_tensor_transfer(aname, sname):
     def run(ctx):
-        a = _base_algebra(ctx, aname)
-        s = _base_algebra(ctx, sname)
+        a = _TENSOR_BASES[aname][0](ctx)
+        s = _TENSOR_BASES[sname][0](ctx)
         require(is_commutative(a), "base algebra is not commutative")
         ja, la = ctx.space(a, JLGH), ctx.space(a, LGH)
         require(solver.space_equal(ja, la), "base spaces differ")
@@ -631,18 +573,22 @@ def _run_polylift(spec, kind, want):
     """Lift the solutions drawn 50 times at random, each distinct one once;
     ``want`` is the number of distinct solutions the claim names.  Every
     lift lands in one polynomial algebra, on which the identity is compiled
-    once and checked on each lift."""
+    once when there are several lifts to check."""
     def run(ctx):
         sp = ctx.space(ctx.alg(spec), kind)
         rng = random.Random(f"{spec}:{kind.value}")
         draws = {tuple(rng.randint(-9, 9) for _ in range(sp.dim)): None for _ in range(50)}
         require(len(draws) == want, f"{len(draws)} distinct solutions, expected {want}")
         poly = truncated_poly(sp.alg, 3)
-        compiled = solver.CompiledCheck(poly, kind)
+        # Compiling costs as much as 25-30 interpreted checks; one lift is interpreted.
+        if len(draws) == 1:
+            check = partial(ident.check, kind)
+        else:
+            check = solver.CompiledCheck(poly, kind).check
         for coeffs in draws:
             lifted = _poly_lift_triple(poly, sp.combination(coeffs))
             require(
-                compiled.check(lifted).holds,
+                check(lifted).holds,
                 f"lift of a random solution fails {kind.value}",
             )
         checked = (
@@ -702,7 +648,7 @@ def _run_commutative_coincide(ctx):
 
 
 def _run_note_doubled_substitution(ctx):
-    t = _case_t2_jordan_not_left()
+    t = _case_t2_jordan_not_left(ctx)
     rep = ident.audit_doubled_substitution(t)
     t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
@@ -718,7 +664,7 @@ def _run_note_doubled_substitution(ctx):
 
 
 def _run_decompose_t2(ctx):
-    t = _case_t2_left_nonzero()
+    t = _case_t2_left_nonzero(ctx)
     dec = ident.decompose_left_gh(t)
     t2 = t.alg
     require(dec.lam == t2.element([1, 1, 0]), f"lambda {dec.lam}")
@@ -760,8 +706,12 @@ def entries() -> list[CatalogEntry]:
     def add(id_, title, claim, origin, run, note_only=False):
         e.append(CatalogEntry(id_, title, claim, origin, run, note_only))
 
+    def case(id_, title, claim, origin, witness, check):
+        e.append(CatalogEntry(id_, title, claim, origin,
+                              lambda ctx: check(witness(ctx)), witness=witness))
+
     # worked cases -------------------------------------------------------
-    add(
+    case(
         "case-z4-doubling",
         "doubling on Z/4Z",
         "On Z/4Z as a rank-1 algebra, f(x) = 2x satisfies the two-sided identity "
@@ -769,9 +719,9 @@ def entries() -> list[CatalogEntry]:
         "at a = b = 1 the sides are 2 and 4 = 0.  The ring has 2-torsion and the "
         "solver refuses its composite modulus; the checkers still decide both identities.",
         "elementary",
-        _run_case_z4,
+        _case_z4, _check_z4,
     )
-    add(
+    case(
         "case-t2-left-not-two-sided",
         "zero map with (g, -g) on T2",
         "On 2x2 upper triangular matrices with g(x) = x*e11, the zero map satisfies "
@@ -781,18 +731,18 @@ def entries() -> list[CatalogEntry]:
         "e12, but it fails the one-sided identity as well, so only the "
         "right-multiplication reading separates the two notions.",
         "elementary",
-        _run_case_t2_left_not_two_sided,
+        _case_t2_left_not_two_sided, _check_t2_left_not_two_sided,
     )
-    add(
+    case(
         "case-t2-two-sided-not-left",
         "x + (ax - xa) on T2",
         "With a = e11+e12+e22 on 2x2 upper triangular matrices, f(x) = x + (ax - xa) "
         "satisfies f(xy) = f(x)y + xg(y) = g(x)y + xf(y) for g(x) = ax - xa, but the "
         "one-sided identity fails at (e11, e22) where the right side is e12, not 0.",
         "elementary",
-        _run_case_t2_two_sided_not_left,
+        _case_t2_two_sided_not_left, _check_t2_two_sided_not_left,
     )
-    add(
+    case(
         "case-t2-jordan-not-left",
         "triangular family member (1,2,3; 4,5)",
         "The parametric triple with g-coefficients (1,2,3) and h-coefficients (4,5) "
@@ -800,36 +750,36 @@ def entries() -> list[CatalogEntry]:
         "the one-sided one: at (e12, e11) the right side is 3e12 while f(e12 e11) = 0. "
         "Its symmetrized-output variant also fails: 6e12 vs 7e12.",
         "formula",
-        _run_case_t2_jordan_not_left,
+        _case_t2_jordan_not_left, _check_t2_jordan_not_left,
     )
-    add(
+    case(
         "case-t2-left-nonzero",
         "nonzero one-sided solution on T2",
         "The one-sided family member with coefficients (1,0; 0,1) is a nonzero triple "
         "satisfying f(ab) = ag(b) + bh(a) = ah(b) + bg(a); the two-sided form fails "
         "at (e11, e11+e12) where the sides are e11+e12 and e11+2e12.",
         "formula",
-        _run_case_t2_left_nonzero,
+        _case_t2_left_nonzero, _check_t2_left_nonzero,
     )
-    add(
+    case(
         "case-t2-jordan-not-centralizer",
         "two-sided solution, no left centralizer, on T2",
         "There is a two-sided solution triple on 2x2 upper triangular matrices none "
         "of whose maps is a left centralizer: f, g, h all violate f(AB) = f(A)B at "
         "A = e11+2e12+3e22, B = 4e11+5e12+6e22.",
         "elementary",
-        _run_case_t2_jordan_not_centralizer,
+        _case_t2_jordan_not_centralizer, _check_t2_jordan_not_centralizer,
     )
-    add(
+    case(
         "case-m2-jordan-not-left",
         "right-multiplication family on M2",
         "On 2x2 full matrices, the triple (2R, R, R) with R = right multiplication by "
         "(1,2; 3,4) satisfies the two-sided identity but not the one-sided one: at "
         "(e12, e11) the right side is 3e11 + 4e12 while f(e12 e11) = 0.",
         "formula",
-        _run_case_m2_jordan_not_left,
+        _case_m2_jordan_not_left, _check_m2_jordan_not_left,
     )
-    add(
+    case(
         "case-m2-jordan-not-centralizer",
         "two-sided solution, no left centralizer, on M2",
         "The map g(A) = (a11-a12, -a11; a21-a22, -a21) on 2x2 matrices is right "
@@ -837,24 +787,24 @@ def entries() -> list[CatalogEntry]:
         "and (2g, g, g) solves the two-sided identity, yet neither g nor 2g is a "
         "left centralizer: both violate f(AB) = f(A)B at A = (1,2; 3,4), B = (5,6; 7,8).",
         "recomputed",
-        _run_case_m2_jordan_not_centralizer,
+        _case_m2_jordan_not_centralizer, _check_m2_jordan_not_centralizer,
     )
-    add(
+    case(
         "case-quat-doubling",
         "doubling on the quaternions",
         "On the rational quaternions, (2x, x, x) satisfies the two-sided identity "
         "but not the one-sided one: f(ij) = 2k while ig(j) + jg(i) = ij + ji = 0.",
         "elementary",
-        _run_case_quat_doubling,
+        _case_quat_doubling, _check_quat_doubling,
     )
-    add(
+    case(
         "case-quat-right-not-left-centralizer",
         "right multiplication by 1+2i+3j+4k",
         "Right multiplication by 1+2i+3j+4k on the quaternions gives a two-sided "
         "solution (2g, g, g); g is a right centralizer but not a left one, separated "
         "exactly at p = 5+6i+7j+8k, q = 9+10i+11j+12k.",
         "formula",
-        _run_case_quat_not_left_centralizer,
+        _case_quat_not_left_centralizer, _check_quat_not_left_centralizer,
     )
 
     # dimensions ---------------------------------------------------------
@@ -866,7 +816,8 @@ def entries() -> list[CatalogEntry]:
             f"upper triangular matrices form a space of dimension n(n+3)/2 = {want}, "
             "spanned by the closed-form right-multiplication family.",
             "formula",
-            _run_dim_tri_jordan(n, want),
+            _run_dim(f"tn{n}", JLGH, want, lambda a, n=n: _tri_jordan_generators(n),
+                     f"dim = {want} = n(n+3)/2; family span matches; certificates ok"),
         )
     for n, want in ((2, 4), (3, 6), (4, 8)):
         add(
@@ -876,7 +827,8 @@ def entries() -> list[CatalogEntry]:
             f"triangular matrices form a space of dimension 2n = {want}: both maps "
             "are supported on e11 and land in the first row, with f = g + h.",
             "formula",
-            _run_dim_tri_left(n, want),
+            _run_dim(f"tn{n}", LGH, want, lambda a, n=n: _tri_left_generators(n),
+                     f"dim = {want} = 2n; family span matches; certificates ok"),
         )
     for n, want in ((2, 4), (3, 9)):
         add(
@@ -886,7 +838,10 @@ def entries() -> list[CatalogEntry]:
             f"exactly (2R, R, R) for right multiplications R, a space of dimension "
             f"n^2 = {want}.",
             "formula",
-            _run_dim_full_jordan(n, want),
+            _run_dim(f"mn{n}", JLGH, want,
+                     lambda a, n=n: [mn_jordan_family(n, a.basis_element(k))
+                                     for k in range(a.dim)],
+                     f"dim = {want} = n^2; family span matches; certificates ok"),
         )
     add(
         "dim-quat-jordan",
@@ -894,7 +849,9 @@ def entries() -> list[CatalogEntry]:
         "Over Q, the two-sided solution triples on the quaternions are exactly "
         "(2R, R, R) for right multiplications R, a space of dimension 4.",
         "formula",
-        _run_dim_quat_jordan,
+        _run_dim("quat", JLGH, 4,
+                 lambda q: [quat_jordan_family(q.basis_element(k)) for k in range(4)],
+                 "dim = 4; equals the right-multiplication family; certificates ok"),
     )
     for n in (2, 3):
         add(
@@ -903,7 +860,8 @@ def entries() -> list[CatalogEntry]:
             f"Over Q, the only triple (f, g, g) satisfying the one-sided identity on "
             f"{n}x{n} full matrices is zero.",
             "formula",
-            _run_vanish(f"mn{n}", LGH, Constraints(force_g_eq_h=True), "g = h"),
+            _run_vanish(f"mn{n}", LGH, Constraints(force_g_eq_h=True),
+                        "only the zero solution for g = h"),
         )
     add(
         "vanish-quat-left-gg",
@@ -911,7 +869,8 @@ def entries() -> list[CatalogEntry]:
         "Over Q, the only triple (f, g, g) satisfying the one-sided identity on the "
         "quaternions is zero.",
         "formula",
-        _run_vanish("quat", LGH, Constraints(force_g_eq_h=True), "g = h"),
+        _run_vanish("quat", LGH, Constraints(force_g_eq_h=True),
+                    "only the zero solution for g = h"),
     )
     add(
         "vanish-full-left-2",
@@ -920,7 +879,7 @@ def entries() -> list[CatalogEntry]:
         "constraint imposed; this is forced by combining the two-sided collapse g = h "
         "with the g = h vanishing statement.",
         "recomputed",
-        _run_vanish("mn2", LGH, None, "the unconstrained system"),
+        _run_vanish("mn2", LGH, None, "only the zero solution for the unconstrained system"),
     )
     add(
         "vanish-quat-left",
@@ -928,16 +887,15 @@ def entries() -> list[CatalogEntry]:
         "Over Q, the full one-sided solution space on the quaternions is zero, with "
         "no constraint imposed.",
         "recomputed",
-        _run_vanish("quat", LGH, None, "the unconstrained system"),
+        _run_vanish("quat", LGH, None, "only the zero solution for the unconstrained system"),
     )
 
     # structure ----------------------------------------------------------
     for spec in ("mn2", "mn3", "quat"):
-        nice = {"mn2": "M2", "mn3": "M3", "quat": "the quaternions"}[spec]
         add(
             f"collapse-{spec}",
-            f"g = h collapse on {nice}",
-            f"Every two-sided solution triple on {nice} has g = h.",
+            f"g = h collapse on {_NICE[spec]}",
+            f"Every two-sided solution triple on {_NICE[spec]} has g = h.",
             "formula",
             _run_collapse(spec),
         )
@@ -989,14 +947,15 @@ def entries() -> list[CatalogEntry]:
         "The two-sided solution space on the quaternions meets "
         "{f(i) = f(j) = f(k) = 0} only in zero: f = 2R forces the right factor to 0.",
         "recomputed",
-        _run_quat_jordan_imaginary,
+        _run_vanish("quat", JLGH, Constraints(f_zero_basis=(1, 2, 3)),
+                    "two-sided solutions with f(i) = f(j) = f(k) = 0 are zero"),
     )
 
     # transfer -----------------------------------------------------------
     for aname in ("line", "dual"):
         for sname in ("dual", "split"):
-            pretty_a = {"line": "Q", "dual": "Q[x]/(x^2)"}[aname]
-            pretty_s = {"dual": "Q[x]/(x^2)", "split": "Q x Q"}[sname]
+            pretty_a = _TENSOR_BASES[aname][1]
+            pretty_s = _TENSOR_BASES[sname][1]
             add(
                 f"tensor-transfer-{aname}-{sname}",
                 f"tensoring {pretty_a} with {pretty_s}",
@@ -1007,7 +966,7 @@ def entries() -> list[CatalogEntry]:
                 "formula",
                 _run_tensor_transfer(aname, sname),
             )
-    for spec, nice in (("tn2", "T2"), ("mn2", "M2"), ("quat", "the quaternions")):
+    for spec in ("tn2", "mn2", "quat"):
         for kind, kname in ((JLGH, "two-sided"), (LGH, "one-sided")):
             # The one-sided spaces on M2 and the quaternions are 0 (vanish-*).
             zero = kind is LGH and spec != "tn2"
@@ -1015,9 +974,9 @@ def entries() -> list[CatalogEntry]:
                        else "50 distinct seeded random solutions")
             add(
                 f"polylift-{spec}-{kind.value}",
-                f"{kname} solutions on {nice} lift to truncated polynomials",
-                f"Lifting a solution of the {kname} identity on {nice} degreewise to "
-                "polynomials truncated above degree 3 yields a solution of the same "
+                f"{kname} solutions on {_NICE[spec]} lift to truncated polynomials",
+                f"Lifting a solution of the {kname} identity on {_NICE[spec]} degreewise "
+                "to polynomials truncated above degree 3 yields a solution of the same "
                 f"identity there; checked on {checked}.",
                 "formula",
                 _run_polylift(spec, kind, 1 if zero else 50),

@@ -21,8 +21,6 @@ from .algebra import (
     AlgebraMismatch,
     AlgElement,
     StructureAlgebra,
-    full_matrix,
-    quaternions,
     tensor_product,
     triangle_positions,
     truncated_poly,
@@ -183,13 +181,6 @@ class MapTriple:
             and _same_algebra(self.f.alg, self.h.alg)
         ):
             raise AlgebraMismatch("all three maps must share one algebra")
-        # Rebase g and h onto f's algebra object so later same-algebra checks
-        # hit the identity fast path instead of comparing whole sc tables.
-        a = self.f.alg
-        if self.g.alg is not a:
-            object.__setattr__(self, "g", LinMap(a, self.g.mat))
-        if self.h.alg is not a:
-            object.__setattr__(self, "h", LinMap(a, self.h.mat))
 
     @property
     def alg(self) -> StructureAlgebra:
@@ -359,9 +350,20 @@ def _lift_into(lifted: StructureAlgebra, f: LinMap) -> LinMap:
 
 def tensor_extend(f: LinMap, s: StructureAlgebra) -> LinMap:
     """The map f (x) id on the tensor product of f's algebra with s."""
+    return _extend_into(tensor_product(f.alg, s), f)
+
+
+def tensor_extend_triple(t: MapTriple, s: StructureAlgebra) -> MapTriple:
+    """Extend all three maps into one tensor product algebra instance."""
+    prod = tensor_product(t.alg, s)
+    return MapTriple(*(_extend_into(prod, m) for m in (t.f, t.g, t.h)))
+
+
+def _extend_into(prod: StructureAlgebra, f: LinMap) -> LinMap:
+    """``tensor_extend`` into ``prod``, the tensor product of f's algebra
+    with a second factor, built by the caller."""
     a = f.alg
-    prod = tensor_product(a, s)
-    ds = s.dim
+    ds = prod.dim // a.dim
     cols = []
     for i in range(a.dim):
         fc = f.column(i)
@@ -372,12 +374,6 @@ def tensor_extend(f: LinMap, s: StructureAlgebra) -> LinMap:
                     col[m * ds + j] = fc[m]
             cols.append(col)
     return LinMap.from_columns(prod, cols)
-
-
-def tensor_extend_triple(t: MapTriple, s: StructureAlgebra) -> MapTriple:
-    return MapTriple(
-        tensor_extend(t.f, s), tensor_extend(t.g, s), tensor_extend(t.h, s)
-    )
 
 
 def tensor_coordinates(f: LinMap) -> list[LinMap]:

@@ -336,13 +336,18 @@ class SolutionSpace:
     rank: int
 
     def combination(self, coeffs) -> MapTriple:
-        """The linear combination sum(coeffs[k] * basis[k])."""
+        """The linear combination sum(coeffs[k] * basis[k]), summed in one
+        pass over the rows of ``canonical`` and reduced once."""
         if len(coeffs) != self.dim:
             raise ValueError(f"need {self.dim} coefficients")
-        t = MapTriple.zero(self.alg)
-        for c, b in zip(coeffs, self.basis):
-            t = t + b.scale(c)
-        return t
+        ring = self.alg.ring
+        acc = [0] * (3 * self.alg.dim ** 2)
+        for c, row in zip(map(ring.coerce, coeffs), self.canonical):
+            if c:
+                for col, v in enumerate(row):
+                    if v:
+                        acc[col] += c * v
+        return vec_to_triple(self.alg, [ring.reduce(v) for v in acc])
 
     def to_doc(self) -> dict:
         fmt = self.alg.ring.format

@@ -188,8 +188,18 @@ def test_failing_entries_are_reported_not_raised(monkeypatch):
 def test_worked_cases_are_triples():
     cases = worked_cases()
     assert set(cases) == EXPECTED_CASE_IDS
+    # Derived from the registry: the witnessed entries, in registry order.
+    assert list(cases) == [e.id for e in entries() if e.witness is not None]
     for t in cases.values():
         assert isinstance(t, MapTriple)
+
+
+def test_each_case_witness_matches_worked_cases():
+    ctx = Context()
+    cases = worked_cases(ctx)
+    for e in entries():
+        if e.witness is not None:
+            assert e.witness(ctx) == cases[e.id]
 
 
 def test_context_memoizes():

@@ -7,6 +7,7 @@ the patterns n(n+3)/2, 2n and n^2 over Q.
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,25 @@ def test_combination_coefficient_count(solved):
     sp = solved("tn2", LGH)
     with pytest.raises(ValueError):
         sp.combination([1, 2, 3])
+
+
+@pytest.mark.parametrize("spec, ring", [("tn3", QQ), ("mn2", QQ), ("tn3", Zmod(5))],
+                         ids=["tn3-Q", "mn2-Q", "tn3-Z/5"])
+@pytest.mark.parametrize("kind", [JLGH, LGH], ids=lambda k: k.value)
+def test_combination_is_the_sum_of_scaled_basis_triples(solved, spec, ring, kind):
+    sp = solved(spec, kind, ring=ring)
+    rng = random.Random(f"{spec}:{ring.name}:{kind.value}")
+    for _ in range(10):
+        if ring == QQ:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(sp.dim)]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in range(sp.dim)]
+        want = MapTriple.zero(sp.alg)
+        for c, b in zip(coeffs, sp.basis):
+            want = want + b.scale(c)
+        got = sp.combination(coeffs)
+        assert got == want
+        assert [type(v) for v in triple_to_vec(got)] == [type(v) for v in triple_to_vec(want)]
 
 
 def test_gh_collapse(solved):
