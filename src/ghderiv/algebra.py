@@ -1,14 +1,17 @@
 """Finite-dimensional algebras presented by structure constants.
 
 An algebra here is a free module of finite rank over a coefficient ring
-(Q or Z/mZ) with a bilinear product recorded as a dense table
+(Q or Z/mZ) with a bilinear product stored as a dense table
 ``sc[i][j][k]``, the coefficient of basis vector ``e_k`` in ``e_i * e_j``.
 Structure constants and element coordinates are raw ring values (``int``
 or ``Fraction`` over Q, ``int`` residues over Z/mZ; see ``ring``), coerced
 once when an algebra or element is built from outside input.
-Everything downstream (maps, identity checks, linear systems) reads the
-product exclusively through this table, so checking a bilinear identity on
-all ordered basis pairs checks it on the whole algebra.
+``sc`` is what documents, equality and hashing see.  Every computation
+(products, validation, centers, maps, identity checks, linear systems)
+reads the product through one sparse view of it, ``_pair_table``, which
+lists the nonzero ``(k, c)`` of each basis product ``e_i * e_j``.  The
+product is bilinear, so checking a bilinear identity on all ordered basis
+pairs checks it on the whole algebra.
 
 Built-in constructors:
 
@@ -89,6 +92,8 @@ class StructureAlgebra:
         object.__setattr__(self, "unity", tuple(map(coerce, self.unity)))
 
     def __eq__(self, other):
+        # The package tests "not a == b": "a != b" would reach this method
+        # through object.__ne__, at three times the cost on the hot paths.
         if self is other:
             return True
         if not isinstance(other, StructureAlgebra):
@@ -104,7 +109,7 @@ class StructureAlgebra:
     def __hash__(self):
         return hash((self.ring, self.dim, self.labels))
 
-    # -- cached product views ---------------------------------------------
+    # -- the product view every layer reads --------------------------------
 
     @cached_property
     def _pair_table(self):
@@ -116,33 +121,6 @@ class StructureAlgebra:
             )
             for i in range(self.dim)
         )
-
-    @cached_property
-    def _left_action(self):
-        """left_action[i][m] = tuple of (l, c) with c = sc[i][l][m] nonzero,
-        i.e. the matrix of left multiplication by e_i."""
-        d = self.dim
-        out = []
-        for i in range(d):
-            rows = [[] for _ in range(d)]
-            for l in range(d):
-                for k, c in self._pair_table[i][l]:
-                    rows[k].append((l, c))
-            out.append(tuple(tuple(r) for r in rows))
-        return tuple(out)
-
-    @cached_property
-    def _right_action(self):
-        """right_action[j][m] = tuple of (l, c) with c = sc[l][j][m] nonzero."""
-        d = self.dim
-        out = []
-        for j in range(d):
-            rows = [[] for _ in range(d)]
-            for l in range(d):
-                for k, c in self._pair_table[l][j]:
-                    rows[k].append((l, c))
-            out.append(tuple(tuple(r) for r in rows))
-        return tuple(out)
 
     # -- elements -----------------------------------------------------------
 
@@ -163,25 +141,8 @@ class StructureAlgebra:
 
     # -- products on raw coordinate tuples ----------------------------------
 
-    def mul_basis_vec(self, i: int, coords) -> tuple:
-        """Coordinates of e_i * v for a coordinate vector v."""
-        acc = [0] * self.dim
-        for l, cl in enumerate(coords):
-            if cl:
-                for k, c in self._pair_table[i][l]:
-                    acc[k] += cl * c
-        return tuple(map(self.ring.reduce, acc))
-
-    def mul_vec_basis(self, coords, j: int) -> tuple:
-        """Coordinates of v * e_j for a coordinate vector v."""
-        acc = [0] * self.dim
-        for l, cl in enumerate(coords):
-            if cl:
-                for k, c in self._pair_table[l][j]:
-                    acc[k] += cl * c
-        return tuple(map(self.ring.reduce, acc))
-
     def mul_vec_vec(self, a, b) -> tuple:
+        """Coordinates of a * b for coordinate vectors a and b."""
         acc = [0] * self.dim
         for i, ai in enumerate(a):
             if not ai:
@@ -197,10 +158,6 @@ class StructureAlgebra:
         return f"<algebra dim {self.dim} over {self.ring}>"
 
 
-def _same_algebra(a: StructureAlgebra, b: StructureAlgebra) -> bool:
-    return a is b or a == b
-
-
 @dataclass(frozen=True)
 class AlgElement:
     """An element of a structure-constant algebra, stored by raw coordinates."""
@@ -211,7 +168,7 @@ class AlgElement:
     def _check(self, other: "AlgElement") -> None:
         if not isinstance(other, AlgElement):
             raise TypeError(f"expected an algebra element, got {other!r}")
-        if not _same_algebra(self.alg, other.alg):
+        if not self.alg == other.alg:
             raise AlgebraMismatch("elements live in different algebras")
 
     def _make(self, raw) -> "AlgElement":
@@ -422,25 +379,27 @@ def validate(alg: StructureAlgebra) -> ValidationReport:
     the first basis index where 1 * e_i or e_i * 1 goes wrong.
     """
     d = alg.dim
+    reduce = alg.ring.reduce
     table = alg._pair_table
     for i in range(d):
+        row_i = table[i]
         for j in range(d):
-            left = table[i][j]
+            left = row_i[j]
             for k in range(d):
-                acc = [0] * d
+                # (e_i e_j) e_k - e_i (e_j e_k), on the coordinates it touches.
+                acc = {}
                 for m, c in left:
                     for t, c2 in table[m][k]:
-                        acc[t] += c * c2
+                        acc[t] = acc.get(t, 0) + c * c2
                 for m, c in table[j][k]:
-                    for t, c2 in table[i][m]:
-                        acc[t] -= c * c2
-                if any(map(alg.ring.reduce, acc)):
+                    for t, c2 in row_i[m]:
+                        acc[t] = acc.get(t, 0) - c * c2
+                if any(map(reduce, acc.values())):
                     return ValidationReport(False, assoc_failure=(i, j, k))
+    one = alg.unity
     for i in range(d):
-        lhs = alg.mul_vec_basis(alg.unity, i)
-        rhs = alg.mul_basis_vec(i, alg.unity)
-        want = alg.basis_element(i).coords
-        if lhs != want or rhs != want:
+        e = alg.basis_element(i).coords
+        if (alg.mul_vec_vec(one, e), alg.mul_vec_vec(e, one)) != (e, e):
             return ValidationReport(False, unity_failure=i)
     return ValidationReport(True)
 
@@ -462,14 +421,17 @@ def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
     """
     ring = alg.ring
     d = alg.dim
+    table = alg._pair_table
     rows = []
     for i in range(d):
-        for m in range(d):
-            row = {}
-            for l, c in alg._right_action[i][m]:
-                row[l] = row.get(l, 0) + c
-            for l, c in alg._left_action[i][m]:
-                row[l] = row.get(l, 0) - c
+        # Row m states coordinate m of x e_i - e_i x = 0, in the unknowns x_l.
+        comm = [{} for _ in range(d)]
+        for l in range(d):
+            for m, c in table[l][i]:
+                comm[m][l] = comm[m].get(l, 0) + c
+            for m, c in table[i][l]:
+                comm[m][l] = comm[m].get(l, 0) - c
+        for row in comm:
             row = {k: r for k, v in row.items() if (r := ring.reduce(v))}
             if row:
                 rows.append(row)
@@ -514,10 +476,11 @@ def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
         ring = RingSpec.from_doc(doc["ring"])
         dim = int(doc["dim"])
         labels = tuple(str(x) for x in doc["labels"])
-        unity = tuple(ring.parse(str(x)) for x in doc["unity"])
+        # Text forms only: the constructor parses each value once.
+        unity = tuple(str(x) for x in doc["unity"])
         sc = tuple(
             tuple(
-                tuple(ring.parse(str(doc["sc"][i][j][k])) for k in range(dim))
+                tuple(str(doc["sc"][i][j][k]) for k in range(dim))
                 for j in range(dim)
             )
             for i in range(dim)

@@ -59,10 +59,10 @@ def _resolve_algebra(name: str, n: int | None, ring: RingSpec):
     if name in ("tn", "mn"):
         if n is None:
             raise InputError(f"--algebra {name} needs --n")
-        spec = f"{name}{n}"
-    else:
-        spec = name
-    return from_spec(spec, ring)
+        return from_spec(f"{name}{n}", ring)
+    if n is not None:
+        raise InputError(f"--n applies to --algebra tn or mn only, not {name}")
+    return from_spec(name, ring)
 
 
 def _read_doc(path: str) -> dict:

@@ -375,7 +375,8 @@ class LeftGHDecomposition:
 def _is_central(x: AlgElement) -> bool:
     alg = x.alg
     for i in range(alg.dim):
-        if alg.mul_vec_basis(x.coords, i) != alg.mul_basis_vec(i, x.coords):
+        e = alg.basis_element(i).coords
+        if alg.mul_vec_vec(x.coords, e) != alg.mul_vec_vec(e, x.coords):
             return False
     return True
 

@@ -28,7 +28,6 @@ from .algebra import (
     algebra_from_doc,
     algebra_to_doc,
     from_spec,
-    _same_algebra,
 )
 
 __all__ = [
@@ -98,7 +97,7 @@ class LinMap:
         """Build from the list of images of the basis vectors."""
         cols = []
         for im in images:
-            if not _same_algebra(im.alg, alg):
+            if not im.alg == alg:
                 raise AlgebraMismatch("image element lives in a different algebra")
             cols.append(im.coords)
         return cls.from_columns(alg, cols)
@@ -114,7 +113,7 @@ class LinMap:
     # -- use ------------------------------------------------------------------
 
     def apply(self, x: AlgElement) -> AlgElement:
-        if not _same_algebra(x.alg, self.alg):
+        if not x.alg == self.alg:
             raise AlgebraMismatch("map and element live in different algebras")
         d = self.alg.dim
         acc = [0] * d
@@ -137,7 +136,7 @@ class LinMap:
     def _check(self, other: "LinMap") -> None:
         if not isinstance(other, LinMap):
             raise TypeError(f"expected a linear map, got {other!r}")
-        if not _same_algebra(self.alg, other.alg):
+        if not self.alg == other.alg:
             raise AlgebraMismatch("maps live in different algebras")
 
     def _make(self, raw_rows) -> "LinMap":
@@ -176,10 +175,7 @@ class MapTriple:
     h: LinMap
 
     def __post_init__(self):
-        if not (
-            _same_algebra(self.f.alg, self.g.alg)
-            and _same_algebra(self.f.alg, self.h.alg)
-        ):
+        if not self.f.alg == self.g.alg == self.h.alg:
             raise AlgebraMismatch("all three maps must share one algebra")
 
     @property
@@ -207,7 +203,8 @@ def right_mul_map(alpha: AlgElement) -> LinMap:
     """The operator x -> x * alpha."""
     alg = alpha.alg
     return LinMap.from_columns(
-        alg, [alg.mul_basis_vec(j, alpha.coords) for j in range(alg.dim)]
+        alg, [alg.mul_vec_vec(alg.basis_element(j).coords, alpha.coords)
+              for j in range(alg.dim)]
     )
 
 
@@ -215,7 +212,8 @@ def left_mul_map(alpha: AlgElement) -> LinMap:
     """The operator x -> alpha * x."""
     alg = alpha.alg
     return LinMap.from_columns(
-        alg, [alg.mul_vec_basis(alpha.coords, j) for j in range(alg.dim)]
+        alg, [alg.mul_vec_vec(alpha.coords, alg.basis_element(j).coords)
+              for j in range(alg.dim)]
     )
 
 

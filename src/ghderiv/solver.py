@@ -36,7 +36,7 @@ from math import lcm
 
 from . import _linalg
 from .ring import RingMismatch
-from .algebra import AlgebraMismatch, StructureAlgebra, _same_algebra
+from .algebra import AlgebraMismatch, StructureAlgebra
 from .linmap import LinMap, MapTriple, triple_to_doc
 from . import identities
 from .identities import CheckReport, Counterexample, IdentityKind
@@ -212,9 +212,6 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
     d = alg.dim
     reduce = alg.ring.reduce
     table = alg._pair_table
-    # An image M(e_p) times e_q on its right is read off the right action
-    # of e_q; times e_q on its left, off the left action.
-    actions = {"left": alg._right_action, "right": alg._left_action}
     for i in range(d):
         for j in range(d):
             x = (i, j)
@@ -231,12 +228,15 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
                                 col = _col(d, name, k, m)
                                 rows[m][col] = rows[m].get(col, 0) + coef * c
                         continue
-                    # Unknown M[l][x_arg] meets e_l times e_{x_other}.
+                    # Unknown M[l][x_arg], the e_l coordinate of M(e_{x_arg}),
+                    # meets e_q = e_{x_other}: M(e_p)e_q takes e_l e_q from
+                    # column q of the table, e_q M(e_p) takes e_q e_l from row q.
                     base = _col(d, name, x[arg], 0)
-                    for m, action in enumerate(actions[where][x[other]]):
-                        row = rows[m]
-                        for l, c in action:
-                            row[base + l] = row.get(base + l, 0) + coef * c
+                    q = x[other]
+                    products = [r[q] for r in table] if where == "left" else table[q]
+                    for l, terms in enumerate(products):
+                        for m, c in terms:
+                            rows[m][base + l] = rows[m].get(base + l, 0) + coef * c
                 blocks.append([
                     {col: r for col, v in row.items() if (r := reduce(v))}
                     for row in rows
@@ -276,7 +276,7 @@ class CompiledCheck:
                 self._pair_ends.append(n)
 
     def check(self, t: MapTriple) -> CheckReport:
-        if not _same_algebra(t.alg, self.alg):
+        if not t.alg == self.alg:
             raise AlgebraMismatch("triple and compiled check live on different algebras")
         failing = _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
         if not failing:

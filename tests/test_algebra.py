@@ -7,6 +7,7 @@ and unity sweep via validate().
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghderiv.ring import QQ, Zmod
 from ghderiv.algebra import (
@@ -28,6 +29,7 @@ from ghderiv.algebra import (
     upper_triangular,
     validate,
 )
+from test_linalg import dense_gauss_jordan
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +191,71 @@ def test_centers_of_the_catalog_algebras():
     # A commutative algebra is its own center.
     dual = truncated_poly(ring_as_algebra(QQ), 1)
     assert len(center_basis(dual)) == 2
+
+
+def _dense_mul(alg, a, b):
+    d = alg.dim
+    return [alg.ring.reduce(sum(a[p] * b[q] * alg.sc[p][q][k]
+                                for p in range(d) for q in range(d)))
+            for k in range(d)]
+
+
+def dense_validate(alg):
+    """validate() written densely from ``sc``: (assoc failure, unity failure)."""
+    d = alg.dim
+    e = [[int(k == i) for k in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if (_dense_mul(alg, _dense_mul(alg, e[i], e[j]), e[k])
+                        != _dense_mul(alg, e[i], _dense_mul(alg, e[j], e[k]))):
+                    return (i, j, k), None
+    for i in range(d):
+        if _dense_mul(alg, alg.unity, e[i]) != e[i] or _dense_mul(alg, e[i], alg.unity) != e[i]:
+            return None, i
+    return None, None
+
+
+@st.composite
+def tampered_algebra(draw):
+    """A built-in table moved to Q or Z/5, with a few constants and unity
+    coordinates overwritten; often no longer associative or unital."""
+    base = from_spec(draw(st.sampled_from(["tn2", "mn2", "quat", "poly(ring,1)"])))
+    ring = draw(st.sampled_from([QQ, Zmod(5)]))
+    d = base.dim
+    sc = [[list(cell) for cell in row] for row in base.sc]
+    unity = list(base.unity)
+    index = st.integers(0, d - 1)
+    value = st.integers(-2, 2)
+    for _ in range(draw(st.integers(0, 3))):
+        sc[draw(index)][draw(index)][draw(index)] = draw(value)
+    if draw(st.booleans()):
+        unity[draw(index)] = draw(value)
+    return StructureAlgebra(ring=ring, dim=d, labels=base.labels, sc=sc, unity=unity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_algebra())
+def test_validate_and_center_match_dense_computation(alg):
+    rep = validate(alg)
+    want = dense_validate(alg)
+    assert (rep.assoc_failure, rep.unity_failure) == want
+    assert rep.ok is (want == (None, None))
+
+    d = alg.dim
+    # x is central iff x e_i - e_i x = 0 for all i: d^2 equations in x.
+    system = [{l: v for l in range(d)
+               if (v := alg.ring.reduce(alg.sc[l][i][m] - alg.sc[i][l][m]))}
+              for i in range(d) for m in range(d)]
+    nullity = d - len(dense_gauss_jordan(system, d, alg.ring))
+    center = center_basis(alg)
+    assert len(center) == nullity
+    assert len(dense_gauss_jordan([dict(enumerate(z.coords)) for z in center],
+                                  d, alg.ring)) == nullity
+    for z in center:
+        for i in range(d):
+            e = [int(k == i) for k in range(d)]
+            assert _dense_mul(alg, z.coords, e) == _dense_mul(alg, e, z.coords)
 
 
 def test_is_commutative():

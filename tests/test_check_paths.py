@@ -1,11 +1,13 @@
-"""The two identity evaluators, pinned to a brute-force one written here.
+"""The two identity evaluators and the row compiler, pinned to brute force.
 
 ``identities.check`` interprets the identity table on elements and skips
 the basis pairs at which every term is zero; ``solver.CompiledCheck``
 evaluates compiled rows through a column index and recomputes only the
 failing pair.  Both must give the report that evaluating every identity,
 written out below by hand, at every ordered basis pair gives: the same
-verdict, and the same lex-first counterexample with both sides.
+verdict, and the same lex-first counterexample with both sides.  The rows
+``solver.build_system`` emits must be the ones the same hand-written
+identities give on maps whose entries are unknowns.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from ghderiv.algebra import AlgebraMismatch, from_spec
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import QQ, Zmod
-from ghderiv.solver import CompiledCheck
+from ghderiv.solver import CompiledCheck, build_system
 
 K = IdentityKind
 
@@ -146,3 +148,73 @@ def test_compiled_check_rejects_another_algebra():
         compiled.check(MapTriple.zero(other))
     # A separately built, equal algebra is the same algebra.
     assert compiled.check(MapTriple.zero(from_spec("tn2"))).holds
+
+
+class Form(dict):
+    """A linear form in the solver's unknowns: {column: coefficient}."""
+
+    def __add__(self, other):
+        if not isinstance(other, Form):
+            assert other == 0
+            return self
+        out = Form(self)
+        for col, v in other.items():
+            out[col] = out.get(col, 0) + v
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        return Form({col: c * v for col, v in self.items()})
+
+    __rmul__ = __mul__
+
+
+def dense_rows(alg, kind):
+    """The identity rows compiled from ``alg.sc`` by brute force.
+
+    The maps f, g and h take the unknown matrices: entry (r, c) of the
+    k-th map is column k d^2 + c d + r (f, g, h blocks, column-major).
+    Every hand-written identity side is then a vector of linear forms,
+    and each coordinate of lhs - rhs is one row, in (i, j, coordinate,
+    equation) order, empty rows included.
+    """
+    d, ring, sc = alg.dim, alg.ring, alg.sc
+
+    def mul(a, b):
+        out = [0] * d
+        for p in range(d):
+            for q in range(d):
+                if a[p] and b[q]:
+                    for k in range(d):
+                        if sc[p][q][k]:
+                            out[k] = out[k] + a[p] * b[q] * sc[p][q][k]
+        return out
+
+    def unknown(block):
+        return lambda v: [Form({block * d * d + c * d + r: v[c] for c in range(d) if v[c]})
+                          for r in range(d)]
+
+    f, g, h = unknown(0), unknown(1), unknown(2)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            a = [int(k == i) for k in range(d)]
+            b = [int(k == j) for k in range(d)]
+            sides = (_jordan_derivation(i, j) if kind is K.JORDAN_DERIVATION
+                     else BRUTE[kind])(f, g, h, a, b, mul)
+            for m in range(d):
+                for lhs, rhs in sides:
+                    diff = Form() + lhs[m] + (-1) * (Form() + rhs[m])
+                    rows.append({col: r for col, v in diff.items() if (r := ring.reduce(v))})
+    return rows
+
+
+@pytest.mark.parametrize("spec,ring", [
+    ("tn3", QQ), ("mn2", QQ), ("quat", QQ), ("poly(tn2,1)", QQ),
+    ("tensor(tn2,tn2)", QQ), ("tn3", Zmod(5)),
+], ids=str)
+def test_emitted_rows_match_dense_compile(spec, ring):
+    alg = from_spec(spec, ring)
+    for kind in IdentityKind:
+        assert list(build_system(alg, kind).rows) == dense_rows(alg, kind), kind

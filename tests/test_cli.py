@@ -107,6 +107,8 @@ def test_solve_composite_modulus_exits_2(capsys):
       "--ring", "z0"), "modulus"),
     (("solve", "--algebra", "quat", "--kind", "left-gh", "--ring", "z5"),
      "over Q only"),
+    (("solve", "--algebra", "tn2", "--n", "3", "--kind", "left-gh"), "--n"),
+    (("export", "--algebra", "quat", "--n", "3"), "--n"),
 ])
 def test_solve_input_errors(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
