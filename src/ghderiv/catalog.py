@@ -584,7 +584,7 @@ def _run_polylift(spec, kind, want):
         if len(draws) == 1:
             check = partial(ident.check, kind)
         else:
-            check = solver.CompiledCheck(poly, kind).check
+            check = solver.build_system(poly, kind).check
         for coeffs in draws:
             lifted = _poly_lift_triple(poly, sp.combination(coeffs))
             require(

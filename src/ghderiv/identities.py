@@ -7,8 +7,8 @@ compiles the same table into linear rows.
 
 This element interpreter is the reference evaluator: the CLI ``check``
 command and the substitution certificate of ``solver.verify_space`` use
-it.  ``solver.CompiledCheck`` is the other one, for many triples on one
-algebra: it evaluates compiled rows and gives the same report.
+it.  ``solver.LinearSystem.check`` is the other one, for many triples on
+one algebra: it evaluates compiled rows and gives the same report.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;

@@ -18,11 +18,12 @@ raise CompositeModulusUnsupported.  The identity checkers keep working
 over composite moduli; only elimination is restricted.
 
 Rows are also an evaluator.  Indexed by column, they let a triple be
-tested by adding each of its nonzero entries into the rows of its column:
-``LinearSystem.evaluate`` does so, and ``CompiledCheck`` streams the
-identity rows into such an index to check many triples on one algebra,
-with the report of ``identities.check``, the element interpreter that
-stays the reference for single checks and certificates.
+tested by adding each of its nonzero entries into the rows of its column.
+``LinearSystem.evaluate`` does so over every row, constraint rows
+included; ``LinearSystem.check`` reads the identity rows only and gives
+the report of ``identities.check``, the element interpreter that stays
+the reference for single checks and certificates.  One compiled system
+pays when many triples are checked on one algebra.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from . import identities
 from .identities import CheckReport, Counterexample, IdentityKind
 
 __all__ = [
-    "CompiledCheck",
     "Constraints",
     "LinearSystem",
     "SolutionSpace",
@@ -190,13 +190,54 @@ class LinearSystem:
     def _index(self) -> dict:
         return _column_index(self.rows)
 
-    def evaluate(self, t: MapTriple) -> bool:
-        """Substitution check: does the flattened triple kill every row?
+    @cached_property
+    def _pair_ends(self) -> array:
+        """Entry p is the number of rows up to and including basis pair
+        p = i * d + j: one per output coordinate of each template there.
+        Constraint rows come after the last entry."""
+        d = self.alg.dim
+        ends = array("l")
+        n = 0
+        for i in range(d):
+            for j in range(d):
+                n += d * len(identities.templates_at(self.kind, i, j))
+                ends.append(n)
+        return ends
+
+    def _failing_rows(self, t: MapTriple) -> list:
+        """The ids of the rows the flattened triple does not kill, unordered.
 
         Reads the rows through their column index, built on first use, so
         rows that share no column with the triple are never visited.
         """
-        return not _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
+        if not t.alg == self.alg:
+            raise AlgebraMismatch("triple and system live on different algebras")
+        return _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
+
+    def evaluate(self, t: MapTriple) -> bool:
+        """Substitution check: does the triple kill every row, constraint
+        rows included?"""
+        return not self._failing_rows(t)
+
+    def check(self, t: MapTriple) -> CheckReport:
+        """``identities.check(kind, t)``, counterexample included, read off
+        the identity rows; constraint rows are ignored.
+
+        Rows are numbered in (i, j, coordinate, template) order, so the
+        smallest failing identity row lies at the lex-first failing pair,
+        where the element interpreter then recomputes both sides of every
+        template and reports the first unequal one.
+        """
+        ends = self._pair_ends
+        failing = [r for r in self._failing_rows(t) if r < ends[-1]]
+        if not failing:
+            return CheckReport(True)
+        i, j = divmod(bisect_right(ends, min(failing)), self.alg.dim)
+        for lhs, rhs in identities.sides_at_pair(self.kind, t, i, j):
+            if lhs.coords != rhs.coords:
+                return CheckReport(False, Counterexample(i, j, lhs, rhs))
+        raise AssertionError(f"compiled rows of {self.kind.value} fail at pair "
+                             f"({i}, {j}), where the identity holds")
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
@@ -246,49 +287,6 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
                     yield rows[m]
 
 
-class CompiledCheck:
-    """``identities.check`` for one kind on one algebra, run on compiled rows.
-
-    ``CompiledCheck(alg, kind)`` compiles the identity once, to check many
-    triples on one algebra: compiling costs about as much as a few
-    interpreted checks.  The identity rows are indexed by column as they
-    stream out of the compiler, and only the index and the row count at
-    the end of each basis pair are kept.  ``check(t)`` returns the same
-    report as ``identities.check(kind, t)``, counterexample included: rows
-    are numbered in (i, j, coordinate, template) order, so the smallest
-    row the triple does not kill lies at the lex-first failing pair, where
-    the element interpreter then recomputes both sides of every template
-    and reports the first unequal one.
-    """
-
-    def __init__(self, alg: StructureAlgebra, kind: IdentityKind):
-        self.alg = alg
-        self.kind = kind
-        d = alg.dim
-        self._index = _column_index(_emit_identity_rows(alg, kind))
-        # _pair_ends[p] is the number of rows up to and including basis pair
-        # p = i * d + j: one per output coordinate of each template there.
-        self._pair_ends = array("l")
-        n = 0
-        for i in range(d):
-            for j in range(d):
-                n += d * len(identities.templates_at(kind, i, j))
-                self._pair_ends.append(n)
-
-    def check(self, t: MapTriple) -> CheckReport:
-        if not t.alg == self.alg:
-            raise AlgebraMismatch("triple and compiled check live on different algebras")
-        failing = _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
-        if not failing:
-            return CheckReport(True)
-        i, j = divmod(bisect_right(self._pair_ends, min(failing)), self.alg.dim)
-        for lhs, rhs in identities.sides_at_pair(self.kind, t, i, j):
-            if lhs.coords != rhs.coords:
-                return CheckReport(False, Counterexample(i, j, lhs, rhs))
-        raise AssertionError(f"compiled rows of {self.kind.value} fail at pair "
-                             f"({i}, {j}), where the identity holds")
-
-
 def build_system(
     alg: StructureAlgebra,
     kind: IdentityKind,
@@ -321,19 +319,25 @@ def build_system(
 class SolutionSpace:
     """The solution set of an identity system, in canonical form.
 
-    ``canonical`` is the unique reduced echelon matrix spanning the space;
-    ``basis`` holds the same rows reshaped into map triples.  ``rank`` is
-    the rank of the defining system, kept so dim = 3d^2 - rank stays
-    checkable later.
+    ``canonical`` is the unique reduced echelon matrix spanning the space,
+    and the one stored form of it: ``dim`` is its row count and ``basis``
+    its rows reshaped into map triples.  ``rank`` is the rank of the
+    defining system, kept so dim = 3d^2 - rank stays checkable later.
     """
 
     alg: StructureAlgebra
     kind: IdentityKind
     constraints: Constraints
-    basis: tuple
-    dim: int
     canonical: tuple
     rank: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.canonical)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(vec_to_triple(self.alg, vec) for vec in self.canonical)
 
     def combination(self, coeffs) -> MapTriple:
         """The linear combination sum(coeffs[k] * basis[k]), summed in one
@@ -385,14 +389,11 @@ def nullspace(system: LinearSystem) -> SolutionSpace:
     echelon, pivots = _linalg.rref(filter(None, system.rows), ring)
     ns = _linalg.nullspace(echelon, pivots, system.ncols, ring)
     canonical_rows, _ = _linalg.rref(ns, ring)
-    canonical = _dense(canonical_rows, system.ncols)
     return SolutionSpace(
         alg=system.alg,
         kind=system.kind,
         constraints=system.constraints,
-        basis=tuple(vec_to_triple(system.alg, vec) for vec in canonical),
-        dim=len(canonical),
-        canonical=canonical,
+        canonical=_dense(canonical_rows, system.ncols),
         rank=len(echelon),
     )
 
@@ -424,9 +425,6 @@ def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
 def verify_space(space: SolutionSpace) -> bool:
     """Three independent certificates for a computed solution space.
 
-    ``basis`` must be ``canonical`` reshaped into triples, so the
-    certificates below, which read one or the other, speak of one space.
-
     1. substitution: every basis triple passes the identity checker (and
        the extra constraints) directly;
     2. rank-nullity: dim equals 3d^2 minus the rank of a freshly rebuilt
@@ -435,8 +433,6 @@ def verify_space(space: SolutionSpace) -> bool:
        permutation, un-permuting that nullspace and re-canonicalising it
        reproduces ``canonical`` exactly.
     """
-    if space.basis != tuple(vec_to_triple(space.alg, vec) for vec in space.canonical):
-        return False
     system = build_system(space.alg, space.kind, space.constraints)
     for t in space.basis:
         if not identities.check(space.kind, t).holds:

@@ -1,9 +1,10 @@
 """The two identity evaluators and the row compiler, pinned to brute force.
 
 ``identities.check`` interprets the identity table on elements and skips
-the basis pairs at which every term is zero; ``solver.CompiledCheck``
-evaluates compiled rows through a column index and recomputes only the
-failing pair.  Both must give the report that evaluating every identity,
+the basis pairs at which every term is zero; the ``check`` of
+``solver.build_system(alg, kind)``, the one compiled evaluator, reads the
+identity rows through a column index and recomputes only the failing
+pair.  Both must give the report that evaluating every identity,
 written out below by hand, at every ordered basis pair gives: the same
 verdict, and the same lex-first counterexample with both sides.  The rows
 ``solver.build_system`` emits must be the ones the same hand-written
@@ -17,7 +18,7 @@ from ghderiv.algebra import AlgebraMismatch, from_spec
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import QQ, Zmod
-from ghderiv.solver import CompiledCheck, build_system
+from ghderiv.solver import build_system
 
 K = IdentityKind
 
@@ -136,16 +137,17 @@ def test_compiled_check_and_interpreter_match_brute_force(draw_case, data):
     kind, t = data.draw(draw_case)
     want = brute_force_doc(kind, t)
     assert check(kind, t).to_doc() == want
-    report = CompiledCheck(t.alg, kind).check(t)
+    report = build_system(t.alg, kind).check(t)
     assert report.to_doc() == want
     assert bool(report) is want["holds"]
 
 
 def test_compiled_check_rejects_another_algebra():
-    compiled = CompiledCheck(from_spec("tn2"), K.LEFT_GH)
-    other = from_spec("tn2", Zmod(5))
-    with pytest.raises(AlgebraMismatch):
-        compiled.check(MapTriple.zero(other))
+    compiled = build_system(from_spec("tn2"), K.LEFT_GH)
+    for other in (from_spec("tn2", Zmod(5)), from_spec("mn2")):
+        for evaluator in (compiled.check, compiled.evaluate):
+            with pytest.raises(AlgebraMismatch):
+                evaluator(MapTriple.zero(other))
     # A separately built, equal algebra is the same algebra.
     assert compiled.check(MapTriple.zero(from_spec("tn2"))).holds
 

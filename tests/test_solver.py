@@ -22,7 +22,6 @@ from ghderiv.algebra import upper_triangular
 from ghderiv.linmap import LinMap, MapTriple, tn_jordan_family, tn_left_family
 from ghderiv.identities import IdentityKind, check
 from ghderiv.solver import (
-    CompiledCheck,
     Constraints,
     build_system,
     canonical_span,
@@ -129,13 +128,8 @@ def test_verify_space_rejects_tampering(solved):
     # A planted non-solution basis vector must trip the substitution check.
     planted = MapTriple(*[LinMap.identity(t2)] * 3)
     fake = dataclasses.replace(
-        sp,
-        basis=sp.basis[:-1] + (planted,),
-        canonical=sp.canonical[:-1] + (tuple(triple_to_vec(planted)),),
-    )
+        sp, canonical=sp.canonical[:-1] + (tuple(triple_to_vec(planted)),))
     assert not verify_space(fake)
-    # The basis must be the canonical matrix reshaped into triples.
-    assert not verify_space(dataclasses.replace(sp, basis=sp.basis[:-1] + (planted,)))
     row = list(sp.canonical[0])
     row[-1] = row[-1] + 1
     assert not verify_space(dataclasses.replace(sp, canonical=(tuple(row),) + sp.canonical[1:]))
@@ -143,12 +137,10 @@ def test_verify_space_rejects_tampering(solved):
     # pass substitution and rank-nullity; the permuted re-solve must catch them.
     summed = tuple(a + b for a, b in zip(sp.canonical[0], sp.canonical[1]))
     canonical = (summed,) + sp.canonical[1:]
-    assert not verify_space(dataclasses.replace(
-        sp, canonical=canonical, basis=tuple(vec_to_triple(t2, v) for v in canonical)))
+    assert not verify_space(dataclasses.replace(sp, canonical=canonical))
     # A wrong dimension must trip rank-nullity.
-    assert not verify_space(dataclasses.replace(sp, dim=sp.dim + 1,
-                                                basis=sp.basis + (sp.basis[0],),
-                                                canonical=sp.canonical + (sp.canonical[0],)))
+    assert not verify_space(dataclasses.replace(
+        sp, canonical=sp.canonical + (sp.canonical[0],)))
     assert not verify_space(dataclasses.replace(sp, rank=sp.rank - 1))
 
 
@@ -364,20 +356,30 @@ def test_system_evaluate(solved):
                            ("poly(ring,1)", QQ)):
             sp = solved(spec, kind, ring=ring)
             sys = build_system(sp.alg, kind)
-            compiled = CompiledCheck(sp.alg, kind)
             holding = list(sp.basis)
             if sp.dim:
                 holding.append(sp.combination([rng.randint(-5, 5) for _ in range(sp.dim)]))
             for t in holding:
                 assert sys.evaluate(t) and check(kind, t).holds, (spec, kind)
-                assert compiled.check(t).to_doc() == {"holds": True}, (spec, kind)
+                assert sys.check(t).to_doc() == {"holds": True}, (spec, kind)
             for _ in range(4):
                 t = _random_triple(sp.alg, rng)
                 report = check(kind, t)
                 assert sys.evaluate(t) == report.holds, (spec, kind)
-                assert compiled.check(t).to_doc() == report.to_doc(), (spec, kind)
+                assert sys.check(t).to_doc() == report.to_doc(), (spec, kind)
                 failing += not report.holds
         assert failing, f"no random triple fails {kind.value}"
+
+
+def test_check_ignores_constraint_rows(solved):
+    """``check`` answers for the identity alone; ``evaluate`` also reads
+    the constraint rows, which come after the identity rows."""
+    sp = solved("tn2", LGH)
+    t = next(t for t in sp.basis if not t.f.is_zero())
+    sys = build_system(sp.alg, LGH, Constraints(force_f_zero=True))
+    assert sys.check(t).to_doc() == {"holds": True}
+    assert not sys.evaluate(t)
+    assert build_system(sp.alg, LGH).evaluate(t)
 
 
 def test_square_identity_system_row_count():
