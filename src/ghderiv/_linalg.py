@@ -119,7 +119,8 @@ def nullspace(echelon, pivots, ncols: int, ring: RingSpec):
     return list(basis.values())
 
 
-def residual(vec: dict, echelon, pivots, ring: RingSpec) -> dict:
-    """Remainder of ``vec`` after elimination against an echelon row set."""
-    pivrows = {c: echelon[i] for c, i in pivots.items()}
+def residual(vec: dict, echelon, ring: RingSpec) -> dict:
+    """Remainder of ``vec`` against fully reduced rows, as ``rref`` returns
+    them, each pivoted on its smallest column; neither input is changed."""
+    pivrows = {min(row): row for row in echelon}
     return _reduce_against(dict(vec), pivrows, ring.reduce)

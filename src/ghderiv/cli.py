@@ -29,6 +29,10 @@ class InputError(ValueError):
     pass
 
 
+# ``solve --emit-system`` prints every row densely; larger systems are refused.
+EMIT_SYSTEM_MAX_CELLS = 5_000_000
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -106,6 +110,12 @@ def cmd_solve(args, config) -> int:
         f_zero_basis=f_zero_on,
     )
     system = solver.build_system(alg, kind, cons)
+    cells = system.nrows * system.ncols
+    if args.emit_system and cells > EMIT_SYSTEM_MAX_CELLS:
+        raise InputError(
+            f"--emit-system would print {system.nrows} x {system.ncols} = {cells} "
+            f"entries, over the limit of {EMIT_SYSTEM_MAX_CELLS}"
+        )
     space = solver.nullspace(system)
     doc = space.to_doc()
     if args.emit_system:

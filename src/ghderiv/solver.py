@@ -9,9 +9,11 @@ column-major (all coordinates of the image of e_0, then of e_1, ...).
 Rows are emitted in the fixed order (i, j, coordinate, template) over
 ordered basis pairs, followed by any constraint rows.  Rows, solution
 vectors and canonical matrices hold raw ring values (see ``ring``), the
-same values the maps store and ``_linalg`` eliminates on.  With layout and
-pivot order fixed, the reduced echelon form of the solution space is
-unique, so solution spaces can be compared by comparing matrices.
+same values the maps store and ``_linalg`` eliminates on.  Rows and
+canonical matrices stay sparse {column: nonzero value} dicts up to the
+stored ``SolutionSpace``; only the ``to_doc`` documents are dense.  With
+layout and pivot order fixed, the reduced echelon form of the solution
+space is unique, so solution spaces can be compared by comparing matrices.
 
 Solving needs a field-like ring (Q or prime modulus): composite moduli
 raise CompositeModulusUnsupported.  The identity checkers keep working
@@ -38,7 +40,7 @@ from math import lcm
 from . import _linalg
 from .ring import RingMismatch
 from .algebra import AlgebraMismatch, StructureAlgebra
-from .linmap import LinMap, MapTriple, triple_to_doc
+from .linmap import LinMap, MapTriple
 from . import identities
 from .identities import CheckReport, Counterexample, IdentityKind
 
@@ -159,6 +161,19 @@ def _nonzero_rows(index: dict, vec, reduce) -> list:
     return [r for r, s in acc.items() if reduce(s)]
 
 
+def _text_rows(rows, ncols: int, fmt) -> list:
+    """Sparse rows as dense lists of length ``ncols`` of text forms; the
+    text of 0 is formatted once and shared."""
+    zero = fmt(0)
+    out = []
+    for row in rows:
+        line = [zero] * ncols
+        for c, v in row.items():
+            line[c] = fmt(v)
+        out.append(line)
+    return out
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The compiled homogeneous system; rows are sparse {column: nonzero raw value}."""
@@ -173,17 +188,12 @@ class LinearSystem:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def dense_rows(self):
-        for row in self.rows:
-            yield [row.get(c, 0) for c in range(self.ncols)]
-
     def to_doc(self) -> dict:
-        fmt = self.alg.ring.format
         return {
             "kind": self.kind.value,
             "constraints": self.constraints.describe(),
             "ncols": self.ncols,
-            "rows": [[fmt(v) for v in row] for row in self.dense_rows()],
+            "rows": _text_rows(self.rows, self.ncols, self.alg.ring.format),
         }
 
     @cached_property
@@ -320,9 +330,12 @@ class SolutionSpace:
     """The solution set of an identity system, in canonical form.
 
     ``canonical`` is the unique reduced echelon matrix spanning the space,
-    and the one stored form of it: ``dim`` is its row count and ``basis``
-    its rows reshaped into map triples.  ``rank`` is the rank of the
-    defining system, kept so dim = 3d^2 - rank stays checkable later.
+    and the one stored form of it: the sparse rows {column: nonzero raw
+    value} ``_linalg.rref`` returns, in pivot order, never mutated.  Equal
+    spaces have equal tuples; holding dicts, the space is unhashable.
+    ``dim`` is the row count and ``basis`` the rows reshaped into map
+    triples.  ``rank`` is the rank of the defining system, kept so
+    dim = 3d^2 - rank stays checkable later.
     """
 
     alg: StructureAlgebra
@@ -337,7 +350,9 @@ class SolutionSpace:
 
     @cached_property
     def basis(self) -> tuple:
-        return tuple(vec_to_triple(self.alg, vec) for vec in self.canonical)
+        ncols = 3 * self.alg.dim ** 2
+        return tuple(vec_to_triple(self.alg, [row.get(c, 0) for c in range(ncols)])
+                     for row in self.canonical)
 
     def combination(self, coeffs) -> MapTriple:
         """The linear combination sum(coeffs[k] * basis[k]), summed in one
@@ -348,33 +363,26 @@ class SolutionSpace:
         acc = [0] * (3 * self.alg.dim ** 2)
         for c, row in zip(map(ring.coerce, coeffs), self.canonical):
             if c:
-                for col, v in enumerate(row):
-                    if v:
-                        acc[col] += c * v
+                for col, v in row.items():
+                    acc[col] += c * v
         return vec_to_triple(self.alg, [ring.reduce(v) for v in acc])
 
     def to_doc(self) -> dict:
-        fmt = self.alg.ring.format
+        """The solution document.  Basis triples reshape the formatted canonical
+        rows: entry (i, j) of block b is column b d^2 + j d + i."""
+        d = self.alg.dim
+        d2 = d * d
+        canonical = _text_rows(self.canonical, 3 * d2, self.alg.ring.format)
         return {
-            "algebra_dim": self.alg.dim,
+            "algebra_dim": d,
             "ring": self.alg.ring.to_doc(),
             "kind": self.kind.value,
             "constraints": self.constraints.describe(),
             "dim": self.dim,
-            "basis": [triple_to_doc(t, inline_algebra=False) for t in self.basis],
-            "canonical": [[fmt(v) for v in row] for row in self.canonical],
+            "basis": [{name: [line[b * d2 + i:(b + 1) * d2:d] for i in range(d)]
+                       for name, b in _BLOCKS.items()} for line in canonical],
+            "canonical": canonical,
         }
-
-
-def _dense(rows, ncols: int) -> tuple:
-    """Sparse echelon rows as dense tuples of length ``ncols``."""
-    out = []
-    for row in rows:
-        vec = [0] * ncols
-        for c, v in row.items():
-            vec[c] = v
-        out.append(tuple(vec))
-    return tuple(out)
 
 
 def _sparse(vec) -> dict:
@@ -393,7 +401,7 @@ def nullspace(system: LinearSystem) -> SolutionSpace:
         alg=system.alg,
         kind=system.kind,
         constraints=system.constraints,
-        canonical=_dense(canonical_rows, system.ncols),
+        canonical=tuple(canonical_rows),
         rank=len(echelon),
     )
 
@@ -457,7 +465,7 @@ def verify_space(space: SolutionSpace) -> bool:
     ns2 = _linalg.nullspace(echelon2, pivots2, system.ncols, ring)
     unpermuted = [{cols[c]: v for c, v in vec.items()} for vec in ns2]
     canonical2, _ = _linalg.rref(unpermuted, ring)
-    return _dense(canonical2, system.ncols) == space.canonical
+    return tuple(canonical2) == space.canonical
 
 
 def _require_comparable(s1: SolutionSpace, s2: SolutionSpace) -> None:
@@ -473,19 +481,11 @@ def space_equal(s1: SolutionSpace, s2: SolutionSpace) -> bool:
     return s1.canonical == s2.canonical
 
 
-def _canonical_echelon(space: SolutionSpace):
-    echelon = [_sparse(row) for row in space.canonical]
-    pivots = {min(row): k for k, row in enumerate(echelon)}
-    return echelon, pivots
-
-
 def space_contains(s1: SolutionSpace, s2: SolutionSpace) -> bool:
     """True iff every generator of s2 eliminates to zero against s1."""
     _require_comparable(s1, s2)
-    echelon, pivots = _canonical_echelon(s1)
     return not any(
-        _linalg.residual(_sparse(row), echelon, pivots, s1.alg.ring)
-        for row in s2.canonical
+        _linalg.residual(row, s1.canonical, s1.alg.ring) for row in s2.canonical
     )
 
 
@@ -495,16 +495,16 @@ def space_member(space: SolutionSpace, t: MapTriple) -> bool:
         raise RingMismatch("triple and space live over different rings")
     if t.alg.dim != space.alg.dim:
         raise ValueError("triple and space live on algebras of different dimension")
-    echelon, pivots = _canonical_echelon(space)
     vec = _sparse(triple_to_vec(t))
-    return not _linalg.residual(vec, echelon, pivots, space.alg.ring)
+    return not _linalg.residual(vec, space.canonical, space.alg.ring)
 
 
 def canonical_span(alg: StructureAlgebra, triples) -> tuple:
     """Unique reduced-echelon matrix spanning the given triples.
 
-    Output rows have the same shape as ``SolutionSpace.canonical``, so a
-    closed-form family can be compared against a solved space directly.
+    Output rows are sparse {column: nonzero raw value} dicts in pivot order,
+    the form of ``SolutionSpace.canonical``, so a closed-form family can be
+    compared against a solved space directly.
     """
     rows = []
     for t in triples:
@@ -512,7 +512,7 @@ def canonical_span(alg: StructureAlgebra, triples) -> tuple:
             raise RingMismatch("triple lives over a different ring")
         rows.append(_sparse(triple_to_vec(t)))
     echelon, _ = _linalg.rref(rows, alg.ring)
-    return _dense(echelon, 3 * alg.dim ** 2)
+    return tuple(echelon)
 
 
 def project_gh_injectivity(space: SolutionSpace) -> bool:
@@ -523,7 +523,7 @@ def project_gh_injectivity(space: SolutionSpace) -> bool:
     g = h = 0 but f != 0.
     """
     d2 = space.alg.dim ** 2
-    rows = [_sparse(row[d2:]) for row in space.canonical]
+    rows = [{c: v for c, v in row.items() if c >= d2} for row in space.canonical]
     echelon, _ = _linalg.rref(rows, space.alg.ring)
     return len(echelon) == space.dim
 
@@ -531,8 +531,5 @@ def project_gh_injectivity(space: SolutionSpace) -> bool:
 def gh_collapse(space: SolutionSpace) -> bool:
     """True iff g = h on every solution in the space."""
     d2 = space.alg.dim ** 2
-    for row in space.canonical:
-        for c in range(d2):
-            if row[d2 + c] != row[2 * d2 + c]:
-                return False
-    return True
+    return all(row.get(c, 0) == row.get(c + d2, 0)
+               for row in space.canonical for c in range(d2, 2 * d2))

@@ -219,4 +219,8 @@ def dense_rows(alg, kind):
 def test_emitted_rows_match_dense_compile(spec, ring):
     alg = from_spec(spec, ring)
     for kind in IdentityKind:
-        assert list(build_system(alg, kind).rows) == dense_rows(alg, kind), kind
+        system, rows = build_system(alg, kind), dense_rows(alg, kind)
+        assert list(system.rows) == rows, kind
+        assert system.to_doc()["rows"] == [
+            [ring.format(row.get(c, 0)) for c in range(system.ncols)] for row in rows
+        ], kind

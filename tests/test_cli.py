@@ -80,6 +80,15 @@ def test_solve_emit_system(capsys):
     assert len(doc["system"]["rows"]) == 54
 
 
+def test_solve_emit_system_size_limit(capsys):
+    # tn6 left-gh: 18522 rows x 1323 columns, refused before solving.
+    code, out, err = run(capsys, "solve", "--algebra", "tn", "--n", "6",
+                         "--kind", "left-gh", "--emit-system")
+    assert code == 1
+    assert out == ""
+    assert "18522 x 1323 = 24504606" in err and "5000000" in err
+
+
 def test_solve_over_prime_modulus(capsys):
     doc = run_json(capsys, "solve", "--algebra", "tn", "--n", "3",
                    "--kind", "left-gh", "--ring", "z5")

@@ -225,10 +225,10 @@ def test_solver_output_is_raw(data):
     alg = upper_triangular(2, ring)
     triples = _random_triples(data.draw, ring, alg, 2)
     for row in canonical_span(alg, triples):
-        assert_raw(ring, row)
+        assert_raw(ring, row.values())
     sp = solve(alg, kind)
     for row in sp.canonical:
-        assert_raw(ring, row)
+        assert_raw(ring, row.values())
     for t in list(sp.basis) + triples:
         for m in (t.f, t.g, t.h):
             for row in m.mat:
@@ -244,7 +244,7 @@ def test_whole_numbers_in_solver_output_are_ints(solved, spec):
     # products of that must come back as ints.
     sp = solved(spec, IdentityKind.JORDAN_LEFT_GH)
     for row in sp.canonical:
-        assert_raw(QQ, row)
+        assert_raw(QQ, row.values())
     for t in sp.basis:
         for m in (t.f, t.g, t.h):
             for row in m.mat:

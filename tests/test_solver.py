@@ -6,6 +6,7 @@ the patterns n(n+3)/2, 2n and n^2 over Q.
 """
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +20,13 @@ from ghderiv.ring import (
     Zmod,
 )
 from ghderiv.algebra import upper_triangular
-from ghderiv.linmap import LinMap, MapTriple, tn_jordan_family, tn_left_family
+from ghderiv.linmap import (
+    LinMap,
+    MapTriple,
+    tn_jordan_family,
+    tn_left_family,
+    triple_to_doc,
+)
 from ghderiv.identities import IdentityKind, check
 from ghderiv.solver import (
     Constraints,
@@ -127,17 +134,24 @@ def test_verify_space_rejects_tampering(solved):
     t2 = sp.alg
     # A planted non-solution basis vector must trip the substitution check.
     planted = MapTriple(*[LinMap.identity(t2)] * 3)
-    fake = dataclasses.replace(
-        sp, canonical=sp.canonical[:-1] + (tuple(triple_to_vec(planted)),))
-    assert not verify_space(fake)
-    row = list(sp.canonical[0])
-    row[-1] = row[-1] + 1
-    assert not verify_space(dataclasses.replace(sp, canonical=(tuple(row),) + sp.canonical[1:]))
+    vec = {c: v for c, v in enumerate(triple_to_vec(planted)) if v}
+    assert not verify_space(dataclasses.replace(sp, canonical=sp.canonical[:-1] + (vec,)))
+    row, last = sp.canonical[0], 3 * t2.dim ** 2 - 1
+    perturbed = {**row, last: row.get(last, 0) + 1}
+    assert not verify_space(dataclasses.replace(sp, canonical=(perturbed,) + sp.canonical[1:]))
     # Solutions spanning the right space, but not in reduced echelon form,
     # pass substitution and rank-nullity; the permuted re-solve must catch them.
-    summed = tuple(a + b for a, b in zip(sp.canonical[0], sp.canonical[1]))
+    first, second = sp.canonical[:2]
+    summed = {c: v for c in first.keys() | second.keys()
+              if (v := first.get(c, 0) + second.get(c, 0))}
     canonical = (summed,) + sp.canonical[1:]
     assert not verify_space(dataclasses.replace(sp, canonical=canonical))
+    # A stored zero spans the same space but breaks equality of canonical
+    # tuples, which space_equal relies on; the permuted re-solve rejects it.
+    unused = min(set(range(last + 1)) - row.keys())
+    zeroed = dataclasses.replace(sp, canonical=({**row, unused: 0},) + sp.canonical[1:])
+    assert zeroed.basis == sp.basis and zeroed.dim == sp.dim
+    assert not verify_space(zeroed)
     # A wrong dimension must trip rank-nullity.
     assert not verify_space(dataclasses.replace(
         sp, canonical=sp.canonical + (sp.canonical[0],)))
@@ -330,6 +344,32 @@ def test_system_shape_and_doc():
     assert doc["ncols"] == 27
     assert len(doc["rows"]) == sys.nrows
     assert all(len(r) == 27 for r in doc["rows"])
+
+
+@pytest.mark.parametrize("spec, kind, ring, constraints", [
+    ("tn3", LGH, QQ, None),
+    ("tn3", JLGH, Zmod(5), None),
+    ("mn2", LGH, QQ, None),
+    ("poly(tn2,1)", JLGH, QQ, None),
+    ("tensor(tn2,tn2)", LGH, QQ, None),
+    ("tn2", LGH, QQ, Constraints(force_g_eq_h=True)),
+], ids=["tn3-left-gh", "tn3-jordan-left-gh-Z/5", "mn2-left-gh", "poly-tn2-1",
+        "tensor-tn2-tn2", "tn2-g-eq-h"])
+def test_space_doc_matches_triple_docs(solved, spec, kind, ring, constraints):
+    """The document reshapes the formatted canonical rows into the basis;
+    it must be, byte for byte, the one built from the basis triples."""
+    sp = solved(spec, kind, constraints, ring=ring)
+    fmt, ncols = ring.format, 3 * sp.alg.dim ** 2
+    want = {
+        "algebra_dim": sp.alg.dim,
+        "ring": ring.to_doc(),
+        "kind": kind.value,
+        "constraints": sp.constraints.describe(),
+        "dim": sp.dim,
+        "basis": [triple_to_doc(t, inline_algebra=False) for t in sp.basis],
+        "canonical": [[fmt(row.get(c, 0)) for c in range(ncols)] for row in sp.canonical],
+    }
+    assert json.dumps(sp.to_doc(), indent=2) == json.dumps(want, indent=2)
 
 
 def _random_triple(alg, rng):
