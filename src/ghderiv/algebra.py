@@ -21,6 +21,10 @@ Built-in constructors:
 * ``ring_as_algebra(ring)``      the ring itself as a rank-1 algebra
 * ``tensor_product(a, b)``       a (x) b over Q, basis e_i (x) f_j
 * ``truncated_poly(a, d)``       a[x] with x^(d+1) = 0, basis e_i x^t
+
+The dense table of a dimension-d algebra holds d^3 constants, so every
+constructor, and ``algebra_from_doc``, refuses a dimension above
+``MAX_DIM`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -52,7 +56,12 @@ __all__ = [
     "algebra_to_doc",
     "algebra_from_doc",
     "from_spec",
+    "MAX_DIM",
 ]
+
+# Largest dimension any constructor builds: a dense table of 128^3, about
+# 2.1 M constants.  tn15 (120) and mn11 (121) are the largest built-ins under it.
+MAX_DIM = 128
 
 
 class AlgebraMismatch(ValueError):
@@ -85,7 +94,7 @@ class StructureAlgebra:
     factors: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        coerce = self.ring.coerce
+        coerce = self.ring.coercer()
         object.__setattr__(self, "sc", tuple(
             tuple(tuple(map(coerce, cell)) for cell in row) for row in self.sc
         ))
@@ -223,6 +232,14 @@ def jordan_product(a: AlgElement, b: AlgElement) -> AlgElement:
 # ---------------------------------------------------------------------------
 
 
+def _check_dim(dim: int, what: str) -> None:
+    """Refuse an algebra whose table would exceed MAX_DIM^3 constants."""
+    if dim > MAX_DIM:
+        raise ValueError(
+            f"{what} would have dimension {dim}, over the limit of {MAX_DIM}"
+        )
+
+
 def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
     """Assemble a dense sc table from a sparse {(i,j,k): value} dict."""
     sc = tuple(
@@ -247,6 +264,7 @@ def full_matrix(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = n * n
+    _check_dim(dim, f"mn{n}")
     idx = lambda i, j: i * n + j
     entries = {}
     for a, b, c, d in itertools.product(range(n), repeat=4):
@@ -267,6 +285,7 @@ def upper_triangular(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     """The algebra of upper triangular n x n matrices."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_dim(n * (n + 1) // 2, f"tn{n}")
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
     dim = len(positions)
@@ -309,6 +328,7 @@ def tensor_product(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
         raise NonFieldRing("tensor products are built over Q only")
     db = b.dim
     dim = a.dim * db
+    _check_dim(dim, f"a tensor product of dimensions {a.dim} and {db}")
     entries = {}
     for i in range(a.dim):
         for k in range(a.dim):
@@ -343,6 +363,7 @@ def truncated_poly(a: StructureAlgebra, degree: int) -> StructureAlgebra:
         raise ValueError("degree must be >= 0")
     d = a.dim
     dim = d * (degree + 1)
+    _check_dim(dim, f"a degree-{degree} polynomial algebra over dimension {d}")
     entries = {}
     for s in range(degree + 1):
         for t in range(degree + 1):
@@ -475,8 +496,9 @@ def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
     try:
         ring = RingSpec.from_doc(doc["ring"])
         dim = int(doc["dim"])
+        _check_dim(dim, "the algebra document")
         labels = tuple(str(x) for x in doc["labels"])
-        # Text forms only: the constructor parses each value once.
+        # Text forms only: the constructor parses each distinct text once.
         unity = tuple(str(x) for x in doc["unity"])
         sc = tuple(
             tuple(

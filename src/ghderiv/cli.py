@@ -3,17 +3,22 @@
 Exit codes: 0 success, 1 malformed input or failed verification run,
 2 solving requested over a composite modulus.  No environment variables
 are consulted; an optional config file (JSON, or TOML when the name ends
-in .toml) may set ``ring`` and ``out_dir`` defaults.
+in .toml) may set ``ring`` and ``out_dir`` defaults.  Every document is
+written as exactly the text of ``json.dumps(doc, indent=2)``, by
+``_dumps``, which encodes each distinct string of a document once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .ring import CompositeModulusUnsupported, NotAUnit, RingSpec
+from .ring import CompositeModulusUnsupported, NotAUnit, RingSpec, _Memo
 from .algebra import algebra_to_doc, from_spec
 from .linmap import MapTriple, map_from_doc, triple_from_doc, triple_to_doc
 from . import identities
@@ -90,8 +95,77 @@ def _out_dir(flag_value: str | None, config: dict, default: str | None) -> Path 
     return p
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, without its pure-Python encoder.
+
+    Each distinct string is encoded once per document, and a list of
+    strings (a row of scalars) is written with one join.  Any value that
+    is not a str, int, float, bool, None, list, tuple or dict raises
+    TypeError, as in ``json.dumps``; so does a key that is not a str
+    (every document here has str keys).
+    """
+    enc = _Memo(encode_basestring_ascii).__getitem__
+    out = []
+    put = out.append
+
+    def write(v, indent: str) -> None:
+        # ``indent`` is a newline and the indentation of v's own line.
+        if isinstance(v, str):
+            put(enc(v))
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, float):
+            put(_float_text(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = indent + "  "
+            if all(map(isinstance, v, repeat(str))):
+                put("[" + inner + ("," + inner).join(map(enc, v)) + indent + "]")
+                return
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                write(x, inner)
+                sep = "," + inner
+            put(indent + "]")
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, x in v.items():
+                put(sep + enc(k) + ": ")
+                write(x, inner)
+                sep = "," + inner
+            put(indent + "}")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    return "".join(out)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
 def cmd_solve(args, config) -> int:
@@ -189,7 +263,7 @@ def cmd_verify_paper(args, config) -> int:
     out = _out_dir(args.out, config, default=None)
     if out is not None:
         (out / "report.json").write_text(
-            json.dumps(report.to_doc(), indent=2) + "\n", encoding="utf-8"
+            _dumps(report.to_doc()) + "\n", encoding="utf-8"
         )
         (out / "traceability.md").write_text(
             catalog_mod.traceability_table(report), encoding="utf-8"
@@ -210,16 +284,12 @@ def cmd_export(args, config) -> int:
         if args.n is not None:
             safe += str(args.n)
         path = out / f"algebra-{safe}-{ring.name}.json"
-        path.write_text(
-            json.dumps(algebra_to_doc(alg), indent=2) + "\n", encoding="utf-8"
-        )
+        path.write_text(_dumps(algebra_to_doc(alg)) + "\n", encoding="utf-8")
         written.append(path)
     if args.cases:
         for cid, t in catalog_mod.worked_cases().items():
             path = out / f"{cid}.json"
-            path.write_text(
-                json.dumps(triple_to_doc(t), indent=2) + "\n", encoding="utf-8"
-            )
+            path.write_text(_dumps(triple_to_doc(t)) + "\n", encoding="utf-8")
             written.append(path)
     for path in written:
         print(path)

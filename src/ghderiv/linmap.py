@@ -82,25 +82,17 @@ class LinMap:
     @classmethod
     def from_rows(cls, alg: StructureAlgebra, rows) -> "LinMap":
         """Build from a row-major iterable; entries are coerced into the ring."""
-        mat = tuple(tuple(map(alg.ring.coerce, row)) for row in rows)
+        coerce = alg.ring.coercer()
+        mat = tuple(tuple(map(coerce, row)) for row in rows)
         return cls(alg, mat)
 
     @classmethod
     def from_columns(cls, alg: StructureAlgebra, cols) -> "LinMap":
-        cols = [tuple(map(alg.ring.coerce, col)) for col in cols]
+        coerce = alg.ring.coercer()
+        cols = [tuple(map(coerce, col)) for col in cols]
         d = alg.dim
         mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         return cls(alg, mat)
-
-    @classmethod
-    def from_images(cls, alg: StructureAlgebra, images) -> "LinMap":
-        """Build from the list of images of the basis vectors."""
-        cols = []
-        for im in images:
-            if not im.alg == alg:
-                raise AlgebraMismatch("image element lives in a different algebra")
-            cols.append(im.coords)
-        return cls.from_columns(alg, cols)
 
     @classmethod
     def zero(cls, alg: StructureAlgebra) -> "LinMap":

@@ -14,6 +14,14 @@ a raw value with its ring for callers who want operators on single values;
 the algebra, map, solver and elimination layers work on raw values
 directly.
 
+Parsing is memoised per document.  A table or document repeats a few
+distinct constants many times (mostly ``"0"``), so the algebra and map
+constructors coerce through ``RingSpec.coercer()``, which remembers each
+distinct text or int value for as long as the returned function lives:
+one table, one matrix.  ``coerce`` stays the one entry point: the memo
+calls it on the first sighting of each value, so every error message, and
+the order in which errors surface, is the same as without it.
+
 The 2-torsion-free test (``2a = 0`` only for ``a = 0``) matters because
 several identities carry an explicit factor of 2 that cannot be divided
 out over rings such as Z/4Z.  Callers always keep that multiplier
@@ -124,6 +132,25 @@ class RingSpec:
             f"{value!r} is not an exact scalar: give an int, a Fraction or a string"
         )
 
+    def coercer(self):
+        """A ``coerce`` function that coerces each distinct value once.
+
+        The memo lives as long as the returned function.  It keys only
+        values of exact type ``str`` or ``int``: ``True == 1`` and
+        ``0.0 == 0`` hash equal to ints, so a memo keyed by value alone
+        would let a bool or a float through behind an equal int.  Every
+        other value goes to ``coerce`` each time.
+        """
+        coerce = self.coerce
+        lookup = _Memo(coerce).__getitem__
+
+        def coerce_once(value):
+            if type(value) is str or type(value) is int:
+                return lookup(value)
+            return coerce(value)
+
+        return coerce_once
+
     def reduce(self, value):
         """Normal form of a raw sum, difference or product.
 
@@ -224,6 +251,19 @@ QQ = RingSpec("Q")
 
 def Zmod(m: int) -> RingSpec:
     return RingSpec("Zmod", m)
+
+
+class _Memo(dict):
+    """``fn(key)``, computed on the first lookup of each key and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 _ZMOD_RE = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?$")

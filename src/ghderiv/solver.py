@@ -76,9 +76,6 @@ class Constraints:
     force_f_zero: bool = False
     f_zero_basis: tuple[int, ...] = ()
 
-    def is_trivial(self) -> bool:
-        return not (self.force_g_eq_h or self.force_f_zero or self.f_zero_basis)
-
     def describe(self) -> str:
         parts = []
         if self.force_g_eq_h:

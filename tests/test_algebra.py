@@ -6,11 +6,17 @@ quaternion table, truncated polynomial grading) plus a full associativity
 and unity sweep via validate().
 """
 
+import re
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghderiv import algebra as algebra_mod
+from ghderiv.cli import main
 from ghderiv.ring import QQ, Zmod
 from ghderiv.algebra import (
+    MAX_DIM,
     AlgebraMismatch,
     NonFieldRing,
     StructureAlgebra,
@@ -337,3 +343,60 @@ def test_from_doc_strict_rejects_broken_table():
     # Non-strict loading defers the judgement to the caller.
     loose = algebra_from_doc(doc, strict=False)
     assert not validate(loose).ok
+
+
+def test_first_bad_literal_in_a_document_is_reported():
+    # Constants are parsed once per distinct text, in table order, so the
+    # first bad literal is the one named, as when each was parsed alone.
+    doc = algebra_to_doc(upper_triangular(2))
+    doc["sc"][0][1][2] = "1/0"
+    doc["sc"][1][1][0] = "x"
+    doc["sc"][2][2][0] = "1/0"
+    with pytest.raises(ValueError, match=re.escape("bad rational literal '1/0': ")):
+        algebra_from_doc(doc)
+    doc = algebra_to_doc(upper_triangular(2, Zmod(5)))
+    doc["sc"][0][0][1] = "3 mod 7"
+    doc["sc"][0][0][2] = "1/2"
+    with pytest.raises(ValueError, match=re.escape(
+            "literal '3 mod 7' names modulus 7, ring has 5")):
+        algebra_from_doc(doc)
+
+
+# ---------------------------------------------------------------------------
+# size limit
+# ---------------------------------------------------------------------------
+
+
+def test_oversized_algebras_fail_before_any_table(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(algebra_mod, "_build", no_build)
+    assert MAX_DIM == 128
+    for spec, dim in (("tn16", 136), ("mn12", 144)):
+        with pytest.raises(ValueError, match=f"dimension {dim}, over the limit of 128"):
+            from_spec(spec)
+    doc = {"ring": {"kind": "Q"}, "dim": 10**9, "labels": [], "unity": [], "sc": []}
+    with pytest.raises(ValueError, match="dimension 1000000000, over the limit of 128"):
+        algebra_from_doc(doc)
+    assert main(["solve", "--algebra", "tn", "--n", "16", "--kind", "left-gh"]) == 1
+    assert "dimension 136, over the limit of 128" in capsys.readouterr().err
+    # The factors of a composite spec, stood in for by their dimension alone:
+    # tn15 and mn11 are under the limit, their poly and tensor forms are not.
+    monkeypatch.setattr(algebra_mod, "upper_triangular",
+                        lambda n, ring: SimpleNamespace(dim=n * (n + 1) // 2, ring=ring))
+    monkeypatch.setattr(algebra_mod, "full_matrix",
+                        lambda n, ring: SimpleNamespace(dim=n * n, ring=ring))
+    for spec, dim in (("poly(tn15,1)", 240), ("tensor(mn11,mn11)", 14641)):
+        with pytest.raises(ValueError, match=f"dimension {dim}, over the limit of 128"):
+            from_spec(spec)
+
+
+def test_an_algebra_of_dimension_max_dim_is_built(monkeypatch):
+    base = ring_as_algebra(QQ)
+    built = []
+    monkeypatch.setattr(algebra_mod, "_build", lambda *args: built.append(args[-1]))
+    truncated_poly(base, MAX_DIM - 1)
+    assert built == [MAX_DIM]
+    with pytest.raises(ValueError, match="dimension 129, over the limit of 128"):
+        truncated_poly(base, MAX_DIM)

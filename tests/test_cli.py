@@ -4,9 +4,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghderiv.cli import main
-from ghderiv.algebra import algebra_from_doc, upper_triangular
+from ghderiv.cli import _dumps, main
+from ghderiv.algebra import algebra_from_doc, algebra_to_doc, from_spec, upper_triangular
 from ghderiv.linmap import (
     map_to_doc,
     right_mul_map,
@@ -15,6 +16,8 @@ from ghderiv.linmap import (
     triple_to_doc,
 )
 from ghderiv.identities import IdentityKind, check
+from ghderiv.ring import QQ, Zmod
+from ghderiv.solver import solve
 
 
 def run(capsys, *argv):
@@ -347,3 +350,96 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "solve" in out and "verify-paper" in out
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: exactly json.dumps(doc, indent=2)
+# ---------------------------------------------------------------------------
+
+
+_texts = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\U0001F600\U0010FFFF'),
+))
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _texts,
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_texts, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_texts, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_writer_matches_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    docs = [
+        [], {}, [[]], {"": {}}, "", 0, -0.0, 1e300, 2**70, -(2**70), None, True,
+        {"é": ["\U0001F600", "\x00", '"'], "k": [1, "a", None, [], {}, ["b"]]},
+        [float("nan"), float("inf"), float("-inf")],
+    ]
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    for doc in ({1, 2}, [object()], {"a": b"bytes"}, {"a": [{"b": frozenset()}]}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dumps(doc)
+    for key in (1, True, None, (1, 2)):
+        with pytest.raises(TypeError):
+            _dumps({"a": {key: 3}})
+
+
+@pytest.mark.parametrize(
+    "spec, ring",
+    [(s, r) for s in ("tn3", "mn2", "poly:tn2:1") for r in (QQ, Zmod(5))]
+    + [("quat", QQ), ("tensor:tn2:tn2", QQ)],
+)
+def test_writer_is_byte_equal_on_solution_spaces(spec, ring):
+    for kind in (IdentityKind.LEFT_GH, IdentityKind.JORDAN_LEFT_GH):
+        doc = solve(from_spec(spec, ring), kind).to_doc()
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_is_byte_equal_on_reports_and_exports(catalog_report):
+    t = tn_jordan_family(2, [1, 2, 3], [4, 5])
+    docs = [
+        check(IdentityKind.JORDAN_LEFT_GH, t).to_doc(),
+        check(IdentityKind.LEFT_GH, t).to_doc(),
+        catalog_report.to_doc(),
+        algebra_to_doc(from_spec("tensor:tn2:tn2")),
+        triple_to_doc(t),
+    ]
+    assert docs[0]["holds"] and not docs[1]["holds"]
+    assert "\\u2297" in _dumps(docs[3])  # the tensor labels, escaped
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_cli_output_is_json_dumps_text(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", "--algebra", "tensor:tn2:tn2", "--kind", "left-gh")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, _, _ = run(capsys, "export", "--algebra", "tensor:tn2:tn2", "--cases",
+                     "--out", str(tmp_path))
+    assert code == 0
+    for path in tmp_path.glob("*.json"):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

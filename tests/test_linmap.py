@@ -47,8 +47,6 @@ def test_construction_routes_agree():
     rows = [[1, 2, 0], [0, 3, 0], [0, 0, 4]]
     cols = [[1, 0, 0], [2, 3, 0], [0, 0, 4]]
     assert LinMap.from_rows(t2, rows) == LinMap.from_columns(t2, cols)
-    images = [t2.element(c) for c in cols]
-    assert LinMap.from_images(t2, images) == LinMap.from_rows(t2, rows)
 
 
 def test_apply_is_column_lookup_on_basis():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghderiv.algebra import upper_triangular
+from ghderiv.algebra import StructureAlgebra, upper_triangular
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import (
@@ -161,6 +161,80 @@ def test_only_exact_inputs_are_coerced():
         t2.one().scale(0.5)
     with pytest.raises(ValueError, match="True"):
         LinMap.from_rows(t2, [[True, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# per-document memo: RingSpec.coercer
+# ---------------------------------------------------------------------------
+
+
+# Each pair is an accepted value, then a rejected one that compares and
+# hashes equal to it (or, for Decimal, equals its parsed value).
+_LOOKALIKES = [(1, True), (0, False), (0, 0.0), (2, 2.0), ("1", Decimal(1))]
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(5)])
+@pytest.mark.parametrize("good, bad", _LOOKALIKES)
+def test_coercer_memo_lets_no_lookalike_through(ring, good, bad):
+    coerce = ring.coercer()
+    assert coerce(good) == ring.coerce(good)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        coerce(bad)
+    t2 = upper_triangular(2, ring)
+    # A table row and a map row that meet the good value first.
+    sc = [[list(cell) for cell in row] for row in t2.sc]
+    sc[0][0][1:3] = [good, bad]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        StructureAlgebra(ring=ring, dim=3, labels=t2.labels, sc=sc, unity=t2.unity)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        LinMap.from_rows(t2, [[good, bad, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        LinMap.from_columns(t2, [[good, 0, 0], [bad, 0, 0], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(5)])
+def test_coercer_text_and_int_give_the_same_raw_value(ring):
+    coerce = ring.coercer()
+    for text, n in (("1", 1), ("0", 0), ("-3", -3), ("12", 12)):
+        a, b = coerce(text), coerce(n)
+        assert a == b == ring.coerce(n) and type(a) is type(b) is int
+    if ring == QQ:
+        assert coerce("6/4") == coerce(Fraction(3, 2)) == Fraction(3, 2)
+
+
+def test_coercer_keeps_every_error_and_its_order():
+    coerce = QQ.coercer()
+    for _ in range(2):  # a failing value is never remembered
+        with pytest.raises(ValueError, match=re.escape("bad rational literal '1/0': ")):
+            coerce("1/0")
+    with pytest.raises(ValueError, match="bad rational literal 'x'"):
+        LinMap.from_rows(upper_triangular(2), [["0", "x", "1/0"], ["0"] * 3, ["0"] * 3])
+    z5 = Zmod(5)
+    msg = "literal '3 mod 7' names modulus 7, ring has 5"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        LinMap.from_rows(upper_triangular(2, z5),
+                         [["1", "0", "0"], ["3 mod 7", "1/2", "0"], ["0"] * 3])
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        z5.coercer()("3 mod 7")
+
+
+def test_coercers_share_no_state(monkeypatch):
+    calls = []
+    original = RingSpec.coerce
+
+    def counted(self, value):
+        calls.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(RingSpec, "coerce", counted)
+    first, second = Zmod(5).coercer(), Zmod(5).coercer()
+    assert [first("7"), first("7"), first(8), first(8)] == [2, 2, 3, 3]
+    assert calls == ["7", 8]
+    assert second("7") == 2
+    assert calls == ["7", 8, "7"]
+    # Values of other types are never remembered.
+    assert first(Fraction(4)) == first(Fraction(4)) == 4
+    assert calls[3:] == [Fraction(4)] * 2
 
 
 # ---------------------------------------------------------------------------

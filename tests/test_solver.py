@@ -203,10 +203,8 @@ def test_bad_constraint_index_rejected():
 
 
 def test_constraints_description():
-    assert Constraints().is_trivial()
     assert Constraints().describe() == "none"
     c = Constraints(force_g_eq_h=True, f_zero_basis=(0, 2))
-    assert not c.is_trivial()
     assert c.describe() == "g = h, f zero on basis [0, 2]"
 
 
