@@ -8,7 +8,9 @@ the values themselves are the ones every other layer stores.
 ``rref`` works in two phases.  Forward: each incoming row has the pivot
 columns it holds eliminated in ascending order (a heap picks up columns
 that subtractions bring in), and the normalised remainder becomes the row
-of its smallest column; rows already stored are left alone.  Back: from
+of its smallest column; rows already stored are left alone.  A
+single-entry row is settled with one lookup: it becomes the pivot row of
+its column, or repeats that row, or takes the general path.  Back: from
 the highest pivot down, each row subtracts the rows of the later pivot
 columns it still holds, which by then are fully reduced, so one pass is
 enough.  No step visits a pivot row whose column the row being reduced
@@ -79,6 +81,17 @@ def rref(rows, ring: RingSpec):
     # are never touched, so they may still hold later pivot columns.
     pivrows: dict[int, dict] = {}
     for row in rows:
+        if len(row) == 1:
+            # A single entry {c: v} says "unknown c is 0": it is the new
+            # pivot row {c: 1} if c has none, and adds nothing if c's pivot
+            # row already says the same.
+            (c,) = row
+            known = pivrows.get(c)
+            if known is None:
+                pivrows[c] = {c: 1}
+                continue
+            if len(known) == 1:
+                continue
         r = _reduce_against(dict(row), pivrows, reduce)
         if not r:
             continue

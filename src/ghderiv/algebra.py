@@ -495,14 +495,18 @@ def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
     """
     try:
         ring = RingSpec.from_doc(doc["ring"])
-        dim = int(doc["dim"])
+        dim = doc["dim"]
+        if isinstance(dim, (bool, float)):
+            raise ValueError(f"bad algebra document: dim {dim!r} is not an integer")
+        dim = int(dim)
         _check_dim(dim, "the algebra document")
         labels = tuple(str(x) for x in doc["labels"])
-        # Text forms only: the constructor parses each distinct text once.
-        unity = tuple(str(x) for x in doc["unity"])
+        # Values go to the constructor as they are, so its coercion refuses
+        # JSON floats and bools; it coerces each distinct text or int once.
+        unity = tuple(doc["unity"])
         sc = tuple(
             tuple(
-                tuple(str(doc["sc"][i][j][k]) for k in range(dim))
+                tuple(doc["sc"][i][j][k] for k in range(dim))
                 for j in range(dim)
             )
             for i in range(dim)

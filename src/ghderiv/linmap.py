@@ -422,7 +422,7 @@ def map_from_doc(doc: dict, ring: RingSpec | None = None,
                  alg: StructureAlgebra | None = None) -> LinMap:
     if alg is None:
         alg = _algebra_from_ref(doc.get("algebra"), ring)
-    return LinMap.from_rows(alg, [[str(x) for x in row] for row in doc["matrix"]])
+    return LinMap.from_rows(alg, doc["matrix"])
 
 
 def triple_to_doc(t: MapTriple, inline_algebra: bool = True) -> dict:
@@ -437,5 +437,5 @@ def triple_from_doc(doc: dict, ring: RingSpec | None = None,
     if alg is None:
         alg = _algebra_from_ref(doc.get("algebra"), ring)
     def load(key):
-        return LinMap.from_rows(alg, [[str(x) for x in row] for row in doc[key]])
+        return LinMap.from_rows(alg, doc[key])
     return MapTriple(load("f"), load("g"), load("h"))

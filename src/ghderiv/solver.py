@@ -6,12 +6,16 @@ from the identity table in ``identities`` (through ``templates_at``), the
 same table the checkers evaluate, so rows and checkers state one identity.
 Unknown order is fixed: the f block, then g, then h; inside a block,
 column-major (all coordinates of the image of e_0, then of e_1, ...).
-Rows are emitted in the fixed order (i, j, coordinate, template) over
-ordered basis pairs, followed by any constraint rows.  Rows, solution
-vectors and canonical matrices hold raw ring values (see ``ring``), the
-same values the maps store and ``_linalg`` eliminates on.  Rows and
-canonical matrices stay sparse {column: nonzero value} dicts up to the
-stored ``SolutionSpace``; only the ``to_doc`` documents are dense.  With
+The row layout is the fixed order (i, j, coordinate, template) over
+ordered basis pairs, followed by any constraint rows.  Most identity rows
+of that layout are empty; the compiler yields only the nonempty ones,
+each with its position, and the system stores those, so compiling and
+elimination cost what the nonzeros cost.  Rows, solution vectors and
+canonical matrices hold raw ring values (see ``ring``), the same values
+the maps store and ``_linalg`` eliminates on.  Rows and canonical
+matrices stay sparse {column: nonzero value} dicts up to the stored
+``SolutionSpace``; only the ``to_doc`` documents are dense, and the
+system's document prints the whole layout, empty rows included.  With
 layout and pivot order fixed, the reduced echelon form of the solution
 space is unique, so solution spaces can be compared by comparing matrices.
 
@@ -122,8 +126,7 @@ def _column_index(rows) -> dict:
     """Index a stream of sparse rows by column: column -> (row ids, values).
 
     Row ids are numbered in stream order and kept in an ``array``, the
-    values beside them in a list; the rows themselves are not kept.  Empty
-    rows take a row id and nothing else.
+    values beside them in a list; the rows themselves are not kept.
     """
     index: dict = {}
     for r, row in enumerate(rows):
@@ -171,26 +174,49 @@ def _text_rows(rows, ncols: int, fmt) -> list:
     return out
 
 
+def _row_ends(d: int, kind: IdentityKind) -> array:
+    """Entry p is the number of row positions up to and including basis
+    pair p = i * d + j: one per output coordinate of each template there.
+    Constraint rows come after the last entry."""
+    ends = array("l")
+    n = 0
+    for i in range(d):
+        for j in range(d):
+            n += d * len(identities.templates_at(kind, i, j))
+            ends.append(n)
+    return ends
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """The compiled homogeneous system; rows are sparse {column: nonzero raw value}."""
+    """The compiled homogeneous system.
+
+    ``rows`` holds the nonempty rows only, as sparse {column: nonzero raw
+    value} dicts; ``positions`` (an ``array``) holds each one's position in
+    the full row layout, where the constraint rows follow the identity
+    rows, and ``nrows`` counts that layout, empty rows included.
+    """
 
     alg: StructureAlgebra
     kind: IdentityKind
     constraints: Constraints
     rows: tuple
+    positions: array
+    nrows: int
     ncols: int
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
     def to_doc(self) -> dict:
+        """The dense document of the full layout; every empty row is one
+        shared line of zeros."""
+        fmt = self.alg.ring.format
+        lines = [[fmt(0)] * self.ncols] * self.nrows
+        for p, line in zip(self.positions, _text_rows(self.rows, self.ncols, fmt)):
+            lines[p] = line
         return {
             "kind": self.kind.value,
             "constraints": self.constraints.describe(),
             "ncols": self.ncols,
-            "rows": _text_rows(self.rows, self.ncols, self.alg.ring.format),
+            "rows": lines,
         }
 
     @cached_property
@@ -199,20 +225,11 @@ class LinearSystem:
 
     @cached_property
     def _pair_ends(self) -> array:
-        """Entry p is the number of rows up to and including basis pair
-        p = i * d + j: one per output coordinate of each template there.
-        Constraint rows come after the last entry."""
-        d = self.alg.dim
-        ends = array("l")
-        n = 0
-        for i in range(d):
-            for j in range(d):
-                n += d * len(identities.templates_at(self.kind, i, j))
-                ends.append(n)
-        return ends
+        return _row_ends(self.alg.dim, self.kind)
 
     def _failing_rows(self, t: MapTriple) -> list:
-        """The ids of the rows the flattened triple does not kill, unordered.
+        """The indices in ``rows`` of the rows the flattened triple does not
+        kill, unordered.
 
         Reads the rows through their column index, built on first use, so
         rows that share no column with the triple are never visited.
@@ -230,16 +247,18 @@ class LinearSystem:
         """``identities.check(kind, t)``, counterexample included, read off
         the identity rows; constraint rows are ignored.
 
-        Rows are numbered in (i, j, coordinate, template) order, so the
-        smallest failing identity row lies at the lex-first failing pair,
-        where the element interpreter then recomputes both sides of every
-        template and reports the first unequal one.
+        Rows are stored in (i, j, coordinate, template) order, so the
+        smallest failing stored row, if it is an identity row, lies at the
+        lex-first failing pair: its position locates the pair, where the
+        element interpreter then recomputes both sides of every template
+        and reports the first unequal one.
         """
+        failing = self._failing_rows(t)
+        position = self.positions[min(failing)] if failing else None
         ends = self._pair_ends
-        failing = [r for r in self._failing_rows(t) if r < ends[-1]]
-        if not failing:
+        if position is None or position >= ends[-1]:
             return CheckReport(True)
-        i, j = divmod(bisect_right(ends, min(failing)), self.alg.dim)
+        i, j = divmod(bisect_right(ends, position), self.alg.dim)
         for lhs, rhs in identities.sides_at_pair(self.kind, t, i, j):
             if lhs.coords != rhs.coords:
                 return CheckReport(False, Counterexample(i, j, lhs, rhs))
@@ -248,50 +267,65 @@ class LinearSystem:
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
-    """Yield the identity rows in (i, j, coordinate, template) order.
+    """Yield ``(position, row)`` for the nonempty identity rows, in
+    (i, j, coordinate, template) order.
 
     Each row states that one output coordinate of one template instance at
     one ordered basis pair vanishes: lhs terms enter with their
     coefficient, rhs terms negated.  The templates are read from the
     identity table through ``identities.templates_at``, so the square
     identity emits its basis form on the diagonal and the polarized form
-    for i < j only.  Every row is yielded, also an empty one.
+    for i < j only.  ``position`` numbers every row of that order, empty
+    ones included: pair (i, j) with T templates holds d T of them, and the
+    row of coordinate m and template t is the m T + t-th.  A row whose
+    terms are all zero, or cancel, is not yielded.
     """
     d = alg.dim
     reduce = alg.ring.reduce
     table = alg._pair_table
+    # Transposed views, per q and output coordinate m: the (l, c) with c
+    # the e_m coordinate of e_l e_q (by_right) or of e_q e_l (by_left).
+    by_right = [{} for _ in range(d)]
+    by_left = [{} for _ in range(d)]
+    for p, row in enumerate(table):
+        for q, terms in enumerate(row):
+            for m, c in terms:
+                by_right[q].setdefault(m, []).append((p, c))
+                by_left[p].setdefault(m, []).append((q, c))
+    views = {"left": by_right, "right": by_left}
+    start = 0
     for i in range(d):
         for j in range(d):
             x = (i, j)
-            blocks = []
-            for lhs, rhs in identities.templates_at(kind, i, j):
-                rows = [{} for _ in range(d)]
+            templates = identities.templates_at(kind, i, j)
+            n = len(templates)
+            # The rows of this pair by offset m n + t (coordinate m, template t).
+            rows: dict = {}
+            for t, (lhs, rhs) in enumerate(templates):
                 signed = list(lhs) + [(-coef, name, shape) for coef, name, shape in rhs]
                 for coef, name, shape in signed:
                     where, arg, other = identities.SHAPES[shape]
                     if where == "apply":
                         # M(e_k) for each e_k in the product; unknown M[m][k].
                         for k, c in table[x[arg]][x[other]]:
+                            base = _col(d, name, k, 0)
                             for m in range(d):
-                                col = _col(d, name, k, m)
-                                rows[m][col] = rows[m].get(col, 0) + coef * c
+                                row = rows.setdefault(m * n + t, {})
+                                row[base + m] = row.get(base + m, 0) + coef * c
                         continue
                     # Unknown M[l][x_arg], the e_l coordinate of M(e_{x_arg}),
-                    # meets e_q = e_{x_other}: M(e_p)e_q takes e_l e_q from
-                    # column q of the table, e_q M(e_p) takes e_q e_l from row q.
+                    # meets e_q = e_{x_other}: M(e_p)e_q takes e_l e_q,
+                    # e_q M(e_p) takes e_q e_l.
                     base = _col(d, name, x[arg], 0)
-                    q = x[other]
-                    products = [r[q] for r in table] if where == "left" else table[q]
-                    for l, terms in enumerate(products):
-                        for m, c in terms:
-                            rows[m][base + l] = rows[m].get(base + l, 0) + coef * c
-                blocks.append([
-                    {col: r for col, v in row.items() if (r := reduce(v))}
-                    for row in rows
-                ])
-            for m in range(d):
-                for rows in blocks:
-                    yield rows[m]
+                    for m, products in views[where][x[other]].items():
+                        row = rows.setdefault(m * n + t, {})
+                        for l, c in products:
+                            row[base + l] = row.get(base + l, 0) + coef * c
+            for offset in sorted(rows):
+                row = {col: r for col, v in rows[offset].items() if (r := reduce(v))}
+                if row:
+                    yield start + offset, row
+            start += d * n
 
 
 def build_system(
@@ -303,7 +337,13 @@ def build_system(
     cons = constraints if constraints is not None else Constraints()
     d = alg.dim
     minus_one = alg.ring.reduce(-1)
-    rows = list(_emit_identity_rows(alg, kind))
+    positions = array("l")
+    rows = []
+    for p, row in _emit_identity_rows(alg, kind):
+        positions.append(p)
+        rows.append(row)
+    nrows = _row_ends(d, kind)[-1]
+    identity_rows = len(rows)
     if cons.force_g_eq_h:
         for j in range(d):
             for i in range(d):
@@ -317,9 +357,11 @@ def build_system(
             raise ValueError(f"basis index {c} out of range")
         for m in range(d):
             rows.append({_col(d, "f", c, m): 1})
-    return LinearSystem(
-        alg=alg, kind=kind, constraints=cons, rows=tuple(rows), ncols=3 * d * d
-    )
+    # Constraint rows are never empty; they follow the identity rows.
+    end = nrows + len(rows) - identity_rows
+    positions.extend(range(nrows, end))
+    return LinearSystem(alg=alg, kind=kind, constraints=cons, rows=tuple(rows),
+                        positions=positions, nrows=end, ncols=3 * d * d)
 
 
 @dataclass(frozen=True)
@@ -330,20 +372,22 @@ class SolutionSpace:
     and the one stored form of it: the sparse rows {column: nonzero raw
     value} ``_linalg.rref`` returns, in pivot order, never mutated.  Equal
     spaces have equal tuples; holding dicts, the space is unhashable.
-    ``dim`` is the row count and ``basis`` the rows reshaped into map
-    triples.  ``rank`` is the rank of the defining system, kept so
-    dim = 3d^2 - rank stays checkable later.
+    ``dim`` is the row count, ``rank`` the rank 3d^2 - dim of the defining
+    system, and ``basis`` the rows reshaped into map triples.
     """
 
     alg: StructureAlgebra
     kind: IdentityKind
     constraints: Constraints
     canonical: tuple
-    rank: int
 
     @property
     def dim(self) -> int:
         return len(self.canonical)
+
+    @property
+    def rank(self) -> int:
+        return 3 * self.alg.dim ** 2 - self.dim
 
     @cached_property
     def basis(self) -> tuple:
@@ -389,9 +433,7 @@ def _sparse(vec) -> dict:
 def nullspace(system: LinearSystem) -> SolutionSpace:
     """Exact solution space with a canonical reduced-echelon basis."""
     ring = system.alg.ring
-    # Empty rows carry no condition; they stay in the system for its
-    # documented row layout but are not fed to elimination.
-    echelon, pivots = _linalg.rref(filter(None, system.rows), ring)
+    echelon, pivots = _linalg.rref(system.rows, ring)
     ns = _linalg.nullspace(echelon, pivots, system.ncols, ring)
     canonical_rows, _ = _linalg.rref(ns, ring)
     return SolutionSpace(
@@ -399,7 +441,6 @@ def nullspace(system: LinearSystem) -> SolutionSpace:
         kind=system.kind,
         constraints=system.constraints,
         canonical=tuple(canonical_rows),
-        rank=len(echelon),
     )
 
 
@@ -447,16 +488,14 @@ def verify_space(space: SolutionSpace) -> bool:
         if not system.evaluate(t):
             return False
     ring = space.alg.ring
-    echelon, _ = _linalg.rref(filter(None, system.rows), ring)
-    if space.dim != system.ncols - len(echelon):
-        return False
+    echelon, _ = _linalg.rref(system.rows, ring)
     if space.rank != len(echelon):
         return False
     rng = random.Random(_PERMUTATION_SEED)
     cols = list(range(system.ncols))
     rng.shuffle(cols)
     remap = {old: new for new, old in enumerate(cols)}
-    permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows if row]
+    permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows]
     rng.shuffle(permuted)
     echelon2, pivots2 = _linalg.rref(permuted, ring)
     ns2 = _linalg.nullspace(echelon2, pivots2, system.ncols, ring)

@@ -11,6 +11,10 @@ verdict, and the same lex-first counterexample with both sides.  The rows
 identities give on maps whose entries are unknowns.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +22,8 @@ from ghderiv.algebra import AlgebraMismatch, from_spec
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import QQ, Zmod
-from ghderiv.solver import build_system
+from ghderiv.cli import main
+from ghderiv.solver import Constraints, build_system, solve
 
 K = IdentityKind
 
@@ -220,7 +225,43 @@ def test_emitted_rows_match_dense_compile(spec, ring):
     alg = from_spec(spec, ring)
     for kind in IdentityKind:
         system, rows = build_system(alg, kind), dense_rows(alg, kind)
-        assert list(system.rows) == rows, kind
+        # Only the nonempty rows are stored, each at its place in the layout.
+        assert dict(zip(system.positions, system.rows)) == {
+            p: row for p, row in enumerate(rows) if row}, kind
+        assert list(system.positions) == sorted(system.positions), kind
+        assert system.nrows == len(rows), kind
         assert system.to_doc()["rows"] == [
             [ring.format(row.get(c, 0)) for c in range(system.ncols)] for row in rows
         ], kind
+
+
+def test_constraint_rows_follow_the_identity_rows():
+    """With every constraint at once: ``check`` ignores the constraint rows,
+    ``evaluate`` honours them, and the document prints them last."""
+    alg = from_spec("tn2")
+    d, ring = alg.dim, alg.ring
+    cons = Constraints(force_g_eq_h=True, force_f_zero=True, f_zero_basis=(1,))
+    system, rows = build_system(alg, K.LEFT_GH, cons), dense_rows(alg, K.LEFT_GH)
+    tail = ([{d * d + c: 1, 2 * d * d + c: ring.reduce(-1)} for c in range(d * d)]
+            + [{c: 1} for c in range(d * d)] + [{d + m: 1} for m in range(d)])
+    assert system.nrows == len(rows) + len(tail)
+    assert dict(zip(system.positions, system.rows)) == {
+        p: row for p, row in enumerate(rows + tail) if row}
+    lines = system.to_doc()["rows"]
+    assert lines[len(rows):] == [
+        [ring.format(row.get(c, 0)) for c in range(system.ncols)] for row in tail]
+    # A solution of the identity alone with f != 0 breaks f = 0; the
+    # identity triple breaks the identity itself.
+    holding = next(t for t in solve(alg, K.LEFT_GH).basis if not t.f.is_zero())
+    assert system.check(holding).to_doc() == {"holds": True}
+    assert not system.evaluate(holding)
+    assert build_system(alg, K.LEFT_GH).evaluate(holding)
+    failing = MapTriple(*[LinMap.identity(alg)] * 3)
+    assert system.check(failing).to_doc() == check(K.LEFT_GH, failing).to_doc()
+    assert not system.check(failing).holds
+    # Over the CLI the document prints the constraint rows after the rest.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", "--algebra", "tn2", "--kind", "left-gh", "--g-eq-h",
+                     "--f-zero", "--f-zero-on", "1", "--emit-system"]) == 0
+    assert json.loads(out.getvalue())["system"]["rows"] == lines

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ghderiv.cli import _dumps, main
 from ghderiv.algebra import algebra_from_doc, algebra_to_doc, from_spec, upper_triangular
 from ghderiv.linmap import (
+    map_from_doc,
     map_to_doc,
     right_mul_map,
     tn_jordan_family,
@@ -395,6 +396,49 @@ def test_writer_matches_json_dumps_on_edge_values():
     ]
     for doc in docs:
         assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("ring, name", [(QQ, "q"), (Zmod(5), "z5")], ids=["Q", "Z/5"])
+def test_json_numbers_reach_the_coercer_as_they_are(capsys, tmp_path, ring, name):
+    """JSON ints load as the text of the same integer does; JSON floats and
+    bools, in a map, a triple or an inline algebra, exit 1 with the
+    coercion's message, and so does a float or bool algebra dimension."""
+    t2 = upper_triangular(2, ring)
+    rows = [[1, 2, 0], [0, 12345678901234567890, 0], [0, 0, -1]]
+    text = [[str(v) for v in row] for row in rows]
+    assert map_from_doc({"matrix": rows}, alg=t2) == map_from_doc({"matrix": text}, alg=t2)
+    alg_doc = algebra_to_doc(t2)
+    int_doc = {**alg_doc, "unity": [int(v.split()[0]) for v in alg_doc["unity"]],
+               "sc": [[[int(v.split()[0]) for v in cell] for cell in row]
+                      for row in alg_doc["sc"]]}
+    assert algebra_from_doc(int_doc) == t2
+
+    def check_doc(doc, flag="--map"):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return run(capsys, "check", "--kind", "left-gh", "--ring", name, flag, str(path))
+
+    code, out, err = check_doc({"matrix": rows, "algebra": "tn2"})
+    assert code == 0 and json.loads(out)["holds"] is False, err
+    not_exact = "is not an exact scalar: give an int, a Fraction or a string"
+    for bad in (0.5, 2.0, 12345678901234567890.0, True, False):
+        matrix = [[bad, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for doc, flag in (({"matrix": matrix, "algebra": "tn2"}, "--map"),
+                          ({"f": matrix, "g": text, "h": text, "algebra": "tn2"}, "--triple")):
+            code, out, err = check_doc(doc, flag)
+            assert (code, out) == (1, ""), (bad, flag)
+            assert f"{bad!r} {not_exact}" in err, (bad, flag)
+        for key, at in (("sc", lambda d: d["sc"][0][0]), ("unity", lambda d: d["unity"])):
+            doc = json.loads(json.dumps(alg_doc))
+            at(doc)[0] = bad
+            code, out, err = check_doc({"matrix": text, "algebra": doc})
+            assert (code, out) == (1, "") and f"{bad!r} {not_exact}" in err, (bad, key)
+    for bad in (3.0, 3.7, True):
+        doc = {**alg_doc, "dim": bad}
+        with pytest.raises(ValueError, match=f"dim {bad!r} is not an integer"):
+            algebra_from_doc(doc)
+        code, out, err = check_doc({"matrix": text, "algebra": doc})
+        assert (code, out) == (1, "") and f"dim {bad!r} is not an integer" in err, bad
 
 
 def test_writer_rejects_what_json_dumps_rejects():

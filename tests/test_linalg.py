@@ -35,23 +35,45 @@ def dense_gauss_jordan(rows, ncols, ring):
     return m[:rank]
 
 
-@st.composite
-def sparse_system(draw):
+def _ring_and_values(draw):
     ring = draw(st.sampled_from([QQ, Zmod(2), Zmod(5)]))
-    ncols = draw(st.integers(1, 10))
     if ring.m is None:
         values = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
     else:
         values = st.integers(1, ring.m - 1)
-    values = values.filter(bool).map(ring.coerce)
+    return ring, values.filter(bool).map(ring.coerce)
+
+
+@st.composite
+def sparse_system(draw):
+    ring, values = _ring_and_values(draw)
+    ncols = draw(st.integers(1, 10))
     row = st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols)
     rows = draw(st.lists(row, max_size=8))
     return ring, ncols, rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_system(), st.randoms(use_true_random=False))
-def test_rref_matches_dense_gauss_jordan(system, rnd):
+@st.composite
+def single_entry_system(draw):
+    """Mostly single-entry rows, many of them repeated, led by a longer row
+    and a single entry on its smallest column, in either order: the single
+    entry then either meets a pivot row holding further entries or is the
+    pivot row the longer row is reduced against."""
+    ring, values = _ring_and_values(draw)
+    ncols = draw(st.integers(2, 8))
+    longer = draw(st.dictionaries(st.integers(0, ncols - 1), values,
+                                  min_size=2, max_size=ncols))
+    lead = [longer, {min(longer): draw(values)}]
+    if draw(st.booleans()):
+        lead.reverse()
+    single = st.builds(lambda c, v: {c: v}, st.integers(0, ncols - 1), values)
+    other = st.dictionaries(st.integers(0, ncols - 1), values, min_size=2, max_size=ncols)
+    rest = draw(st.lists(st.one_of(single, single, other), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(lead + rest), max_size=6))
+    return ring, ncols, lead + rest + repeats
+
+
+def _assert_rref_matches_dense_gauss_jordan(system, rnd):
     ring, ncols, rows = system
     before = copy.deepcopy(rows)
     echelon, pivots = _linalg.rref(iter(rows), ring)
@@ -74,6 +96,18 @@ def test_rref_matches_dense_gauss_jordan(system, rnd):
     # Every input row lies in the span of the echelon.
     for row in rows:
         assert _linalg.residual(row, echelon, ring) == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_system(), st.randoms(use_true_random=False))
+def test_rref_matches_dense_gauss_jordan(system, rnd):
+    _assert_rref_matches_dense_gauss_jordan(system, rnd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_entry_system(), st.randoms(use_true_random=False))
+def test_rref_settles_single_entry_rows_as_dense_gauss_jordan(system, rnd):
+    _assert_rref_matches_dense_gauss_jordan(system, rnd)
 
 
 def dense_nullspace(rows, ncols, ring):
