@@ -580,7 +580,7 @@ def _run_polylift(spec, kind, want):
         draws = {tuple(rng.randint(-9, 9) for _ in range(sp.dim)): None for _ in range(50)}
         require(len(draws) == want, f"{len(draws)} distinct solutions, expected {want}")
         poly = truncated_poly(sp.alg, 3)
-        # Compiling costs as much as 25-30 interpreted checks; one lift is interpreted.
+        # Compiling costs as much as 1-7 interpreted checks (d 12-16); one lift is interpreted.
         if len(draws) == 1:
             check = partial(ident.check, kind)
         else:

@@ -38,6 +38,13 @@ class InputError(ValueError):
 EMIT_SYSTEM_MAX_CELLS = 5_000_000
 
 
+def _object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object; InputError otherwise."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} is not a JSON object")
+    return doc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -52,15 +59,24 @@ def _load_config(path: str | None) -> dict:
             with open(p, "rb") as fh:
                 return tomllib.load(fh)
         with open(p, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     except Exception as exc:
         raise InputError(f"cannot parse config {path}: {exc}") from exc
+    return _object(config, f"config {path}")
+
+
+def _config_text(config: dict, key: str) -> str | None:
+    """The config's ``key``, which must be a string when it is set."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"config {key} must be a string, not {value!r}")
+    return value
 
 
 def _resolve_ring(flag_value: str | None, config: dict) -> RingSpec:
-    name = flag_value or config.get("ring") or "q"
+    name = flag_value or _config_text(config, "ring") or "q"
     return RingSpec.from_name(name)
 
 
@@ -77,17 +93,19 @@ def _resolve_algebra(name: str, n: int | None, ring: RingSpec):
 def _read_doc(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return _object(doc, path)
 
 
 def _out_dir(flag_value: str | None, config: dict, default: str | None) -> Path | None:
-    target = flag_value or config.get("out_dir") or default
+    target = flag_value or _config_text(config, "out_dir") or default
     if target is None:
         return None
     p = Path(target)

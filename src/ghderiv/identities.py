@@ -12,8 +12,13 @@ one algebra: it evaluates compiled rows and gives the same report.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;
-checkers scan pairs in lexicographic order and report the first failure
-exactly as computed, never normalized.
+checkers scan every pair in lexicographic order and report the first
+failure exactly as computed, never normalized.  One evaluator serves
+them all.  It works on sparse coordinates: each map is read once as its
+nonzero columns, each product off the algebra's ``_pair_table``, and
+each side is a {coordinate: nonzero value} dict, turned into elements
+only where they are returned or reported.  Arguments other than basis
+vectors are expanded over the basis pairs of their supports.
 
 The square identity D(a^2) = D(a)a + aD(a) is the one quadratic case; it
 is checked on every basis vector together with its polarized form
@@ -31,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import AlgElement
+from .algebra import AlgebraMismatch, AlgElement
 from .linmap import LinMap, MapTriple, left_mul_map
 
 __all__ = [
@@ -178,51 +183,58 @@ class CheckReport:
         return doc
 
 
-def _evaluate(templates, t: MapTriple, x: tuple, keys: tuple, memo: dict) -> list:
-    """(lhs, rhs) of each template at the arguments x = (a, b).
+def _columns(m: LinMap) -> list:
+    """Column k of ``m``, the image of e_k, as {coordinate: nonzero value}."""
+    return [{r: v for r, row in enumerate(m.mat) if (v := row[k])} for k in range(len(m.mat))]
 
-    Each map is applied once to the sum of its product arguments, and each
-    distinct coefficient scales its group of terms once.  Map images are
-    cached in ``memo`` under ``keys``, names for a and b, so a scan over
-    many basis pairs computes each of them once.
+
+def _evaluate(templates, cols: dict, alg, pairs) -> list:
+    """(lhs, rhs) of each template: the sum over (p, q, s) in ``pairs`` of
+    s times its value at (e_p, e_q).
+
+    With ``pairs`` = ((i, j, 1),) that is its value at the basis pair
+    (i, j); with (p, q, u_p w_q) over the nonzero coordinates of a and b,
+    by bilinearity, its value at (a, b).  ``cols`` maps "f", "g" and "h"
+    to their columns.  Each term is read off the pair table: M(e_p e_q)
+    sums c times column k of M over the (k, c) of e_p e_q; M(e_p)e_q
+    walks e_l e_q and e_q M(e_p) walks e_q e_l, for each nonzero
+    coordinate l of M(e_p).  Each side is a {coordinate: nonzero reduced
+    value} dict, so two sides are equal iff their dicts are.
     """
-
-    def cached(key, compute):
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = compute()
-        return value
-
-    def image(name, arg):
-        return cached((name, keys[arg]), lambda: getattr(t, name)(x[arg]))
-
-    def applied(name, args):
-        # The sum of products does not depend on their order.
-        key = (name, tuple(sorted((keys[p], keys[q]) for p, q in args)))
-        return cached(key, lambda: getattr(t, name)(_sum([x[p] * x[q] for p, q in args])))
-
-    def side(terms):
-        groups: dict = {}  # coefficient -> (map -> its product args, other terms)
-        for coef, name, shape in terms:
-            products, parts = groups.setdefault(coef, ({}, []))
-            where, arg, other = SHAPES[shape]
-            if where == "apply":
-                products.setdefault(name, []).append((arg, other))
-            elif where == "left":
-                parts.append(image(name, arg) * x[other])
-            else:
-                parts.append(x[other] * image(name, arg))
-        sums = []
-        for coef, (products, parts) in groups.items():
-            acc = _sum([applied(name, args) for name, args in products.items()] + parts)
-            sums.append(acc if coef == 1 else acc.scale(coef))
-        return _sum(sums)
-
-    return [(side(lhs), side(rhs)) for lhs, rhs in templates]
+    table, reduce = alg._pair_table, alg.ring.reduce
+    out = []
+    for template in templates:
+        sides = []
+        for terms in template:
+            acc: dict = {}
+            for coef, name, shape in terms:
+                where, arg, other = SHAPES[shape]
+                col = cols[name]
+                for x in pairs:
+                    p, q, s = x[arg], x[other], coef * x[2]
+                    if where == "apply":
+                        for k, c in table[p][q]:
+                            c *= s
+                            for l, v in col[k].items():
+                                acc[l] = acc.get(l, 0) + c * v
+                        continue
+                    for l, v in col[p].items():
+                        v *= s
+                        for k, c in table[l][q] if where == "left" else table[q][l]:
+                            acc[k] = acc.get(k, 0) + v * c
+            sides.append({k: r for k, v in acc.items() if (r := reduce(v))})
+        out.append(tuple(sides))
+    return out
 
 
-def _sum(elements: list) -> AlgElement:
-    return sum(elements[1:], elements[0])
+def _triple_columns(t: MapTriple) -> dict:
+    return {"f": _columns(t.f), "g": _columns(t.g), "h": _columns(t.h)}
+
+
+def _dense(alg, sides: tuple) -> tuple:
+    """Sparse (lhs, rhs) as a pair of elements."""
+    return tuple(AlgElement(alg, tuple(side.get(k, 0) for k in range(alg.dim)))
+                 for side in sides)
 
 
 def identity_sides(
@@ -234,7 +246,13 @@ def identity_sides(
     identity this is the polarized two-argument form; the checker applies
     the plain square form on the diagonal separately.
     """
-    return _evaluate(IDENTITIES[kind], t, (a, b), (0, 1), {})
+    alg = t.alg
+    if not a.alg == alg or not b.alg == alg:
+        raise AlgebraMismatch("triple and elements live in different algebras")
+    pairs = [(p, q, u * w) for p, u in enumerate(a.coords) if u
+             for q, w in enumerate(b.coords) if w]
+    return [_dense(alg, sides)
+            for sides in _evaluate(IDENTITIES[kind], _triple_columns(t), alg, pairs)]
 
 
 def sides_at_pair(
@@ -246,57 +264,25 @@ def sides_at_pair(
     the plain square form on the diagonal, the polarized form for i < j,
     nothing for i > j.
     """
-    alg = t.alg
-    x = (alg.basis_element(i), alg.basis_element(j))
-    return _evaluate(templates_at(kind, i, j), t, x, (i, j), {})
-
-
-def _vanishes(templates, x: tuple, live: dict, table) -> bool:
-    """Is every term of every template zero at the basis pair x = (i, j)?
-
-    ``live[name]`` holds the nonzero columns of that map.  M(e_p)e_q and
-    e_q M(e_p) vanish when column p of M is zero; M(e_p e_q) vanishes when
-    the support of e_p e_q misses every nonzero column of M.
-    """
-    for lhs, rhs in templates:
-        for _, name, shape in lhs + rhs:
-            where, arg, other = SHAPES[shape]
-            cols = live[name]
-            if where == "apply":
-                if any(k in cols for k, _ in table[x[arg]][x[other]]):
-                    return False
-            elif x[arg] in cols:
-                return False
-    return True
+    cols, alg = _triple_columns(t), t.alg
+    return [_dense(alg, sides)
+            for sides in _evaluate(templates_at(kind, i, j), cols, alg, ((i, j, 1),))]
 
 
 def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
     """Scan all ordered basis pairs in lexicographic order; first failure wins.
 
-    A pair at which every term is zero holds trivially and is skipped.  One
-    memo serves the whole scan, so each image of a basis vector, or of a
-    sum of basis products, is computed once.
+    Every pair is evaluated, none skipped, and nothing is kept between
+    pairs but the maps' columns; elements are built only for the reported
+    counterexample.
     """
     alg = t.alg
-    table = alg._pair_table
-    live = {
-        name: {j for j, col in enumerate(zip(*m.mat)) if any(col)}
-        for name, m in (("f", t.f), ("g", t.g), ("h", t.h))
-    }
-    basis: dict[int, AlgElement] = {}
-    memo: dict = {}
+    cols = _triple_columns(t)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            templates = templates_at(kind, i, j)
-            if _vanishes(templates, (i, j), live, table):
-                continue
-            for k in (i, j):
-                if k not in basis:
-                    basis[k] = alg.basis_element(k)
-            x = (basis[i], basis[j])
-            for lhs, rhs in _evaluate(templates, t, x, (i, j), memo):
-                if lhs.coords != rhs.coords:
-                    return CheckReport(False, Counterexample(i, j, lhs, rhs))
+            for sides in _evaluate(templates_at(kind, i, j), cols, alg, ((i, j, 1),)):
+                if sides[0] != sides[1]:
+                    return CheckReport(False, Counterexample(i, j, *_dense(alg, sides)))
     return CheckReport(True)
 
 

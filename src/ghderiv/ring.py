@@ -9,10 +9,9 @@ floating point anywhere in this package: ``RingSpec.coerce`` is the one
 entry point for outside values and rejects floats, bools and Decimals.
 After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
 (an integral ``Fraction`` becomes its ``int`` over Q, ``% m`` over Z/mZ);
-``inv``, ``parse`` and ``format`` complete the arithmetic.  ``Scalar`` boxes
-a raw value with its ring for callers who want operators on single values;
-the algebra, map, solver and elimination layers work on raw values
-directly.
+``inv``, ``parse`` and ``format`` complete the arithmetic.  No value is
+boxed: the algebra, map, solver and elimination layers all work on raw
+values directly.
 
 Parsing is memoised per document.  A table or document repeats a few
 distinct constants many times (mostly ``"0"``), so the algebra and map
@@ -30,14 +29,12 @@ explicit; nothing in this package divides by 2.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "RingSpec",
-    "Scalar",
     "QQ",
     "Zmod",
     "RingMismatch",
@@ -47,7 +44,8 @@ __all__ = [
 
 
 class RingMismatch(ValueError):
-    """Two scalars from different coefficient rings met in one operation."""
+    """Algebras, triples or spaces over different coefficient rings met in
+    one operation."""
 
 
 class NotAUnit(ArithmeticError):
@@ -110,7 +108,7 @@ class RingSpec:
     # -- raw values ---------------------------------------------------------
 
     def coerce(self, value):
-        """The raw value of an int, a Fraction, a text form or a Scalar.
+        """The raw value of an int, a Fraction or a text form.
 
         This is the one entry point for values from outside the package.
         Anything else, floats, bools and Decimals included, raises
@@ -124,10 +122,6 @@ class RingSpec:
             return value.numerator % self.m
         if isinstance(value, str):
             return self.parse(value)
-        if isinstance(value, Scalar):
-            if value.ring != self:
-                raise RingMismatch(f"scalar from {value.ring} used in {self}")
-            return value.value
         raise ValueError(
             f"{value!r} is not an exact scalar: give an int, a Fraction or a string"
         )
@@ -197,18 +191,6 @@ class RingSpec:
         """Text form of a raw value: "p/q" over Q, "r mod m" over Z/mZ."""
         return str(value) if self.m is None else f"{value} mod {self.m}"
 
-    # -- boxed values -------------------------------------------------------
-
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
-    def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, text form, or Scalar into this ring."""
-        return Scalar(self, value)
-
     # -- presentation ------------------------------------------------------
 
     @property
@@ -267,63 +249,3 @@ class _Memo(dict):
 
 
 _ZMOD_RE = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?$")
-
-
-def _arith(op, swapped=False):
-    """A Scalar operator: ``op`` on raw values, normalized by the ring's
-    coercion (which reduces mod m)."""
-
-    def method(self, other):
-        if isinstance(other, Scalar):
-            if other.ring != self.ring:
-                raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
-            o = other.value
-        elif isinstance(other, int) and not isinstance(other, bool):
-            o = other
-        else:
-            return NotImplemented
-        v = op(o, self.value) if swapped else op(self.value, o)
-        return Scalar(self.ring, v)
-
-    return method
-
-
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """An exact ring element: a raw value of ``ring`` boxed with its ring."""
-
-    ring: RingSpec
-    value: object
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.ring.coerce(self.value))
-
-    # -- arithmetic --------------------------------------------------------
-
-    __add__ = __radd__ = _arith(operator.add)
-    __sub__ = _arith(operator.sub)
-    __rsub__ = _arith(operator.sub, swapped=True)
-    __mul__ = __rmul__ = _arith(operator.mul)
-
-    def __neg__(self):
-        return Scalar(self.ring, -self.value)
-
-    def inv(self) -> "Scalar":
-        """Multiplicative inverse; raises NotAUnit when none exists."""
-        return Scalar(self.ring, self.ring.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    # -- text form ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        return self.ring.format(self.value)
-
-    @classmethod
-    def parse(cls, text: str, ring: RingSpec) -> "Scalar":
-        """Parse "p/q" or "p" over Q, "r mod m" or a bare integer over Z/mZ."""
-        return cls(ring, ring.parse(text))

@@ -165,7 +165,7 @@ def test_constructors_validate(alg):
 def test_validate_catches_tampering():
     t2 = upper_triangular(2)
     sc = [[[c for c in cell] for cell in row] for row in t2.sc]
-    sc[0][1][2] = QQ.one()  # e11*e12 gains a spurious e22 component
+    sc[0][1][2] = 1  # e11*e12 gains a spurious e22 component
     bad = StructureAlgebra(
         ring=t2.ring, dim=t2.dim, labels=t2.labels,
         sc=tuple(tuple(tuple(cell) for cell in row) for row in sc),
@@ -176,7 +176,7 @@ def test_validate_catches_tampering():
 
     bad_unity = StructureAlgebra(
         ring=t2.ring, dim=t2.dim, labels=t2.labels, sc=t2.sc,
-        unity=(QQ.one(), QQ.one(), QQ.one()),
+        unity=(1, 1, 1),
     )
     rep2 = validate(bad_unity)
     assert not rep2.ok

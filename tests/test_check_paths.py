@@ -1,25 +1,29 @@
 """The two identity evaluators and the row compiler, pinned to brute force.
 
-``identities.check`` interprets the identity table on elements and skips
-the basis pairs at which every term is zero; the ``check`` of
-``solver.build_system(alg, kind)``, the one compiled evaluator, reads the
-identity rows through a column index and recomputes only the failing
-pair.  Both must give the report that evaluating every identity,
-written out below by hand, at every ordered basis pair gives: the same
-verdict, and the same lex-first counterexample with both sides.  The rows
-``solver.build_system`` emits must be the ones the same hand-written
-identities give on maps whose entries are unknowns.
+``identities.check`` interprets the identity table at every basis pair on
+sparse coordinates; the ``check`` of ``solver.build_system(alg, kind)``,
+the one compiled evaluator, reads the identity rows through a column index
+and recomputes only the failing pair.  Both must give the report that
+evaluating every identity, written out below by hand, at every ordered
+basis pair gives: the same verdict, and the same lex-first counterexample
+with both sides.  The cases run up to dimension 12, on dense triples and
+on sparse ones (basis triples of solved spaces, single-column maps).
+``identities.identity_sides`` must give the hand-written sides at any two
+elements, not only basis vectors.  The rows ``solver.build_system`` emits
+must be the ones the same hand-written identities give on maps whose
+entries are unknowns.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghderiv.algebra import AlgebraMismatch, from_spec
-from ghderiv.identities import IdentityKind, check
+from ghderiv.identities import IdentityKind, check, identity_sides
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import QQ, Zmod
 from ghderiv.cli import main
@@ -67,19 +71,32 @@ def _jordan_derivation(i, j):
     return lambda *_: []
 
 
-def brute_force_doc(kind, t):
-    """Evaluate the identity at every ordered basis pair in lex order."""
+def brute_ops(t):
+    """f, g, h and the product on dense coordinate lists, read off the dense
+    matrices and table; zero arguments are skipped, nothing else is."""
     alg = t.alg
-    d, ring = alg.dim, alg.ring
+    d = alg.dim
 
     def mul(a, b):
-        return [sum(a[p] * b[q] * alg.sc[p][q][k] for p in range(d) for q in range(d))
-                for k in range(d)]
+        out = [0] * d
+        for p in range(d):
+            for q in range(d):
+                if a[p] and b[q]:
+                    for k, c in enumerate(alg.sc[p][q]):
+                        out[k] += a[p] * b[q] * c
+        return out
 
     def apply(m):
         return lambda v: [sum(m.mat[r][c] * v[c] for c in range(d)) for r in range(d)]
 
-    f, g, h = apply(t.f), apply(t.g), apply(t.h)
+    return apply(t.f), apply(t.g), apply(t.h), mul
+
+
+def brute_force_doc(kind, t):
+    """Evaluate the identity at every ordered basis pair in lex order."""
+    alg = t.alg
+    d, ring = alg.dim, alg.ring
+    f, g, h, mul = brute_ops(t)
     for i in range(d):
         for j in range(d):
             a = [int(k == i) for k in range(d)]
@@ -97,9 +114,9 @@ def brute_force_doc(kind, t):
 
 
 SPECS = {
-    QQ: ("tn2", "tn3", "mn2", "quat", "poly(ring,1)", "poly(tn2,1)"),
+    QQ: ("tn2", "tn3", "mn2", "quat", "poly(ring,1)", "poly(tn2,1)", "tn4", "poly(mn2,2)"),
     Zmod(4): ("tn2", "mn2", "poly(ring,2)"),
-    Zmod(5): ("tn2", "tn3", "mn2"),
+    Zmod(5): ("tn2", "tn3", "mn2", "tn4"),
 }
 
 
@@ -111,13 +128,21 @@ def kind_and_triple(draw, solved):
     alg = from_spec(spec, ring)
     d = alg.dim
     values = (st.integers(-3, 3) if ring.m is None else st.integers(0, ring.m - 1))
-    base = draw(st.sampled_from(["zero", "identity", "solution"]))
-    if base == "solution" and ring.is_field():
+    base = draw(st.sampled_from(["zero", "identity", "solution", "basis", "column"]))
+    if base in ("solution", "basis") and ring.is_field():
         sp = solved(spec, kind, ring=ring)
-        sol = sp.combination([draw(values) for _ in range(sp.dim)])
+        if base == "solution" or not sp.dim:
+            sol = sp.combination([draw(values) for _ in range(sp.dim)])
+        else:
+            sol = sp.basis[draw(st.integers(0, sp.dim - 1))]
         mats = [list(map(list, m.mat)) for m in (sol.f, sol.g, sol.h)]
     elif base == "identity":
         mats = [[[int(r == c) for c in range(d)] for r in range(d)] for _ in range(3)]
+    elif base == "column":
+        # Each map is nonzero on one basis vector at most.
+        cols = [draw(st.integers(0, d - 1)) for _ in range(3)]
+        mats = [[[draw(values) if c == col else 0 for c in range(d)] for _ in range(d)]
+                for col in cols]
     else:
         mats = [[[0] * d for _ in range(d)] for _ in range(3)]
     if draw(st.booleans()):
@@ -145,6 +170,51 @@ def test_compiled_check_and_interpreter_match_brute_force(draw_case, data):
     report = build_system(t.alg, kind).check(t)
     assert report.to_doc() == want
     assert bool(report) is want["holds"]
+
+
+ELEMENT_SPECS = {
+    QQ: ("tn3", "mn2", "quat", "poly(tn2,1)", "tn4"),
+    Zmod(5): ("tn3", "mn2", "poly(tn2,1)", "tn4"),
+}
+
+
+# Whole numbers and fractions over Q; st.fractions builds a strategy per
+# draw, far too slow for hundreds of entries an example.
+Q_VALUES = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_identity_sides_match_brute_force(data):
+    """At any two elements, each template's sides are the hand-written ones."""
+    ring = data.draw(st.sampled_from(list(ELEMENT_SPECS)))
+    alg = from_spec(data.draw(st.sampled_from(ELEMENT_SPECS[ring])), ring)
+    kind = data.draw(st.sampled_from(list(IdentityKind)))
+    d = alg.dim
+    n = 3 * d * d + 2 * d
+    values = Q_VALUES if ring.m is None else st.integers(0, ring.m - 1)
+    entries = data.draw(st.lists(values, min_size=n, max_size=n))
+    t = MapTriple(*(LinMap.from_rows(alg, [entries[(m * d + r) * d:(m * d + r + 1) * d]
+                                           for r in range(d)]) for m in range(3)))
+    a, b = alg.element(entries[-2 * d:-d]), alg.element(entries[-d:])
+    # The two-argument form of the square identity is its polarization.
+    brute = _jordan_derivation(0, 1) if kind is K.JORDAN_DERIVATION else BRUTE[kind]
+    f, g, h, mul = brute_ops(t)
+    want = [tuple(tuple(ring.reduce(v) for v in side) for side in sides)
+            for sides in brute(f, g, h, list(a.coords), list(b.coords), mul)]
+    got = [(lhs.coords, rhs.coords) for lhs, rhs in identity_sides(kind, t, a, b)]
+    assert got == want
+
+
+def test_identity_sides_reject_another_algebra():
+    # poly(ring,2) has the dimension of tn2 but another product.
+    t = MapTriple(*[LinMap.identity(from_spec("tn2"))] * 3)
+    for other in (from_spec("poly(ring,2)"), from_spec("tn2", Zmod(5)), from_spec("mn2")):
+        x, y = other.one(), t.alg.one()
+        for a, b in ((x, y), (y, x), (x, x)):
+            with pytest.raises(AlgebraMismatch):
+                identity_sides(K.LEFT_GH, t, a, b)
+    assert identity_sides(K.LEFT_GH, t, from_spec("tn2").one(), t.alg.one())
 
 
 def test_compiled_check_rejects_another_algebra():

@@ -195,6 +195,16 @@ def test_check_unreadable_input(capsys, tmp_path):
     assert code == 1 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("flag", ["--triple", "--map"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"], ids=["list", "string", "null"])
+def test_check_refuses_a_document_that_is_not_an_object(capsys, tmp_path, flag, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--kind", "left-gh", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} is not a JSON object\n"
+
+
 # ---------------------------------------------------------------------------
 # catalog and verify-paper
 # ---------------------------------------------------------------------------
@@ -336,6 +346,27 @@ def test_config_errors(capsys, tmp_path):
     bad.write_text("{{{")
     code, _, err = run(capsys, "--config", str(bad), "catalog")
     assert code == 1 and "cannot parse config" in err
+
+
+def test_config_refuses_a_list(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    code, out, err = run(capsys, "--config", str(cfg), "catalog")
+    assert (code, out) == (1, "")
+    assert err == f"error: config {cfg} is not a JSON object\n"
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("ring", 5, ["solve", "--algebra", "tn2", "--kind", "left-gh"]),
+    ("ring", ["q"], ["check", "--kind", "left-gh", "--map", "-"]),
+    ("out_dir", 5, ["export", "--cases"]),
+], ids=["ring-int", "ring-list", "out_dir-int"])
+def test_config_refuses_a_value_that_is_not_a_string(capsys, tmp_path, key, value, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: config {key} must be a string, not {value!r}\n"
 
 
 # ---------------------------------------------------------------------------
