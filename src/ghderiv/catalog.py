@@ -185,23 +185,23 @@ def _family_span_matches(space, triples) -> bool:
     return solver.canonical_span(space.alg, triples) == space.canonical
 
 
-def _tri_jordan_generators(n: int, ring=QQ):
+def _tri_jordan_generators(a: StructureAlgebra, n: int):
     npos = n * (n + 1) // 2
     out = []
     for k in range(npos):
         gp = [1 if t == k else 0 for t in range(npos)]
-        out.append(tn_jordan_family(n, gp, [0] * n, ring))
+        out.append(tn_jordan_family(n, gp, [0] * n, alg=a))
     for k in range(n):
         hp = [1 if t == k else 0 for t in range(n)]
-        out.append(tn_jordan_family(n, [0] * npos, hp, ring))
+        out.append(tn_jordan_family(n, [0] * npos, hp, alg=a))
     return out
 
-def _tri_left_generators(n: int, ring=QQ):
+def _tri_left_generators(a: StructureAlgebra, n: int):
     out = []
     for k in range(n):
         e = [1 if t == k else 0 for t in range(n)]
-        out.append(tn_left_family(n, e, [0] * n, ring))
-        out.append(tn_left_family(n, [0] * n, e, ring))
+        out.append(tn_left_family(n, e, [0] * n, alg=a))
+        out.append(tn_left_family(n, [0] * n, e, alg=a))
     return out
 
 
@@ -234,11 +234,11 @@ def _case_t2_two_sided_not_left(ctx):
 
 
 def _case_t2_jordan_not_left(ctx):
-    return tn_jordan_family(2, [1, 2, 3], [4, 5])
+    return tn_jordan_family(2, [1, 2, 3], [4, 5], alg=ctx.alg("tn2"))
 
 
 def _case_t2_left_nonzero(ctx):
-    return tn_left_family(2, [1, 0], [0, 1])
+    return tn_left_family(2, [1, 0], [0, 1], alg=ctx.alg("tn2"))
 
 
 def _case_t2_jordan_not_centralizer(ctx):
@@ -816,7 +816,7 @@ def entries() -> list[CatalogEntry]:
             f"upper triangular matrices form a space of dimension n(n+3)/2 = {want}, "
             "spanned by the closed-form right-multiplication family.",
             "formula",
-            _run_dim(f"tn{n}", JLGH, want, lambda a, n=n: _tri_jordan_generators(n),
+            _run_dim(f"tn{n}", JLGH, want, lambda a, n=n: _tri_jordan_generators(a, n),
                      f"dim = {want} = n(n+3)/2; family span matches; certificates ok"),
         )
     for n, want in ((2, 4), (3, 6), (4, 8)):
@@ -827,7 +827,7 @@ def entries() -> list[CatalogEntry]:
             f"triangular matrices form a space of dimension 2n = {want}: both maps "
             "are supported on e11 and land in the first row, with f = g + h.",
             "formula",
-            _run_dim(f"tn{n}", LGH, want, lambda a, n=n: _tri_left_generators(n),
+            _run_dim(f"tn{n}", LGH, want, lambda a, n=n: _tri_left_generators(a, n),
                      f"dim = {want} = 2n; family span matches; certificates ok"),
         )
     for n, want in ((2, 4), (3, 9)):

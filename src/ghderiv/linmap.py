@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import QQ, RingSpec
+from .ring import QQ, RingSpec, array
 from .algebra import (
     AlgebraMismatch,
     AlgElement,
@@ -66,7 +66,8 @@ class LinMap:
     """A module-linear self-map, column j = coordinates of the image of e_j.
 
     ``mat`` holds raw ring values; ``from_rows`` and ``from_columns``
-    coerce outside input into that form.
+    coerce outside input into that form: d arrays of d values each, each
+    distinct row or column once.
     """
 
     alg: StructureAlgebra
@@ -81,18 +82,13 @@ class LinMap:
 
     @classmethod
     def from_rows(cls, alg: StructureAlgebra, rows) -> "LinMap":
-        """Build from a row-major iterable; entries are coerced into the ring."""
-        coerce = alg.ring.coercer()
-        mat = tuple(tuple(map(coerce, row)) for row in rows)
-        return cls(alg, mat)
+        """Build from d rows; entries are coerced into the ring."""
+        return cls(alg, _coerce_vectors(alg, rows))
 
     @classmethod
     def from_columns(cls, alg: StructureAlgebra, cols) -> "LinMap":
-        coerce = alg.ring.coercer()
-        cols = [tuple(map(coerce, col)) for col in cols]
-        d = alg.dim
-        mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        return cls(alg, mat)
+        """Build from d columns; entries are coerced into the ring."""
+        return cls(alg, tuple(zip(*_coerce_vectors(alg, cols))))
 
     @classmethod
     def zero(cls, alg: StructureAlgebra) -> "LinMap":
@@ -158,6 +154,13 @@ class LinMap:
         return not any(map(any, self.mat))
 
 
+def _coerce_vectors(alg: StructureAlgebra, vectors) -> tuple:
+    """d arrays of d values, coerced; ValueError unless the shape is d x d."""
+    d = alg.dim
+    error = f"matrix must be {d} x {d}"
+    return tuple(map(alg.ring.vectors(d, error), array(vectors, d, error)))
+
+
 @dataclass(frozen=True)
 class MapTriple:
     """The triple (f, g, h) entering the product identities."""
@@ -214,7 +217,17 @@ def left_mul_map(alpha: AlgElement) -> LinMap:
 # ---------------------------------------------------------------------------
 
 
-def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
+def _tn(n: int, ring: RingSpec, alg: StructureAlgebra | None) -> StructureAlgebra:
+    """``alg``, the caller's upper_triangular(n, ...), or a new one over ``ring``."""
+    if alg is None:
+        return upper_triangular(n, ring)
+    if alg.dim != n * (n + 1) // 2:
+        raise ValueError(f"an algebra of dimension {alg.dim} is not T{n}")
+    return alg
+
+
+def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ,
+                     alg: StructureAlgebra | None = None) -> MapTriple:
     """Two-sided-identity solution family over the upper triangular algebra.
 
     ``gparams`` holds the n(n+1)/2 coefficients indexed by the row-major
@@ -228,9 +241,10 @@ def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
         f = g + h
 
     which is the same thing as right multiplication by the matrices
-    collecting the parameters.
+    collecting the parameters.  Pass ``alg``, upper_triangular(n, ring),
+    to build the maps on an algebra already at hand.
     """
-    alg = upper_triangular(n, ring)
+    alg = _tn(n, ring, alg)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
     gp = [alg.ring.coerce(x) for x in gparams]
@@ -261,13 +275,15 @@ def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
     return MapTriple(g + h, g, h)
 
 
-def tn_left_family(n, gparams, hparams, ring: RingSpec = QQ) -> MapTriple:
+def tn_left_family(n, gparams, hparams, ring: RingSpec = QQ,
+                   alg: StructureAlgebra | None = None) -> MapTriple:
     """One-sided-identity solution family over the upper triangular algebra.
 
     Both maps kill every basis vector except e_11, which they send into the
-    first row with the given n coefficients; f = g + h.
+    first row with the given n coefficients; f = g + h.  ``alg`` is as in
+    ``tn_jordan_family``.
     """
-    alg = upper_triangular(n, ring)
+    alg = _tn(n, ring, alg)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
     gp = [alg.ring.coerce(x) for x in gparams]

@@ -13,13 +13,16 @@ After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
 boxed: the algebra, map, solver and elimination layers all work on raw
 values directly.
 
-Parsing is memoised per document.  A table or document repeats a few
-distinct constants many times (mostly ``"0"``), so the algebra and map
-constructors coerce through ``RingSpec.coercer()``, which remembers each
-distinct text or int value for as long as the returned function lives:
-one table, one matrix.  ``coerce`` stays the one entry point: the memo
-calls it on the first sighting of each value, so every error message, and
-the order in which errors surface, is the same as without it.
+Parsing is memoised per document.  A table or matrix repeats a few
+distinct vectors many times (a tn8 table holds 1,296 cells, 37 of them
+distinct, and most of those all ``"0"``), so the algebra and map
+constructors coerce through ``RingSpec.vectors()``, which checks that each
+vector is an array of the right length and coerces each distinct one
+once, for as long as the returned function lives: one table, one matrix.
+Inside it ``RingSpec.coercer()`` does the same per distinct value.
+``coerce`` stays the one entry point: the memos call it on the first
+sighting of each value, so every error message, and the order in which
+errors surface, is the same as without them.
 
 The 2-torsion-free test (``2a = 0`` only for ``a = 0``) matters because
 several identities carry an explicit factor of 2 that cannot be divided
@@ -145,6 +148,32 @@ class RingSpec:
 
         return coerce_once
 
+    def vectors(self, dim: int, error: str):
+        """A function that coerces one vector of ``dim`` values, each
+        distinct vector once.
+
+        A vector is a list or tuple (a JSON array) of exactly ``dim``
+        values; anything else, a string or an array of another length
+        among them, raises ValueError(error).  The memo lives as long as the returned
+        function.  Like ``coercer`` it keys only vectors whose values are
+        all of exact type ``str`` or ``int``, so ``[True, 0]`` or
+        ``[1.0, 0]`` never meets an equal ``[1, 0]``; equal vectors that it
+        keys share one tuple of raw values.
+        """
+        coerce = self.coercer()
+        memo = {}
+
+        def vector(values):
+            key = tuple(array(values, dim, error))
+            if not _EXACT.issuperset(map(type, key)):
+                return tuple(map(coerce, key))
+            raw = memo.get(key)
+            if raw is None:
+                raw = memo[key] = tuple(map(coerce, key))
+            return raw
+
+        return vector
+
     def reduce(self, value):
         """Normal form of a raw sum, difference or product.
 
@@ -233,6 +262,19 @@ QQ = RingSpec("Q")
 
 def Zmod(m: int) -> RingSpec:
     return RingSpec("Zmod", m)
+
+
+def array(values, n: int, error: str):
+    """``values`` if it is a list or tuple (a JSON array) of ``n`` items;
+    ValueError(error) otherwise.  A string is not an array."""
+    if (type(values) is not list and type(values) is not tuple) or len(values) != n:
+        raise ValueError(error)
+    return values
+
+
+# The value types a memo may key: an exact int or str never equals a value
+# of another type that coercion would treat differently.
+_EXACT = frozenset((int, str))
 
 
 class _Memo(dict):

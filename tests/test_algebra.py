@@ -200,10 +200,11 @@ def test_centers_of_the_catalog_algebras():
 
 
 def _dense_mul(alg, a, b):
+    """a * b read densely off ``sc``; zero coordinates of a and b add nothing."""
     d = alg.dim
-    return [alg.ring.reduce(sum(a[p] * b[q] * alg.sc[p][q][k]
-                                for p in range(d) for q in range(d)))
-            for k in range(d)]
+    terms = [(u * w, alg.sc[p][q]) for p, u in enumerate(a) if u
+             for q, w in enumerate(b) if w]
+    return [alg.ring.reduce(sum(s * cell[k] for s, cell in terms)) for k in range(d)]
 
 
 def dense_validate(alg):
@@ -225,8 +226,12 @@ def dense_validate(alg):
 @st.composite
 def tampered_algebra(draw):
     """A built-in table moved to Q or Z/5, with a few constants and unity
-    coordinates overwritten; often no longer associative or unital."""
-    base = from_spec(draw(st.sampled_from(["tn2", "mn2", "quat", "poly(ring,1)"])))
+    coordinates overwritten; often no longer associative or unital.  The
+    bases of dimension 6 and 9 are sparse enough that ``validate`` skips
+    most basis triples."""
+    base = from_spec(draw(st.sampled_from(
+        ["tn2", "mn2", "quat", "poly(ring,1)",
+         "tn3", "mn3", "poly(tn2,1)", "tensor(tn2,tn2)"])))
     ring = draw(st.sampled_from([QQ, Zmod(5)]))
     d = base.dim
     sc = [[list(cell) for cell in row] for row in base.sc]
@@ -345,6 +350,28 @@ def test_from_doc_strict_rejects_broken_table():
     assert not validate(loose).ok
 
 
+_SHAPE = "structure constants must be a 3 x 3 x 3 array"
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda doc: doc["sc"][1][2].append("0"), _SHAPE),
+    (lambda doc: doc["sc"][1].append(["0"] * 3), _SHAPE),
+    (lambda doc: doc["sc"].append([["0"] * 3] * 3), _SHAPE),
+    (lambda doc: doc["sc"][1].__setitem__(2, "000"), _SHAPE),
+    (lambda doc: doc["sc"][1].__setitem__(2, ["0"] * 2), _SHAPE),
+    (lambda doc: doc["sc"].__setitem__(2, "000"), _SHAPE),
+    (lambda doc: doc.__setitem__("unity", "100"), "unity must be an array of 3 values"),
+    (lambda doc: doc.__setitem__("labels", "abc"),
+     "bad algebra document: labels must be an array"),
+], ids=["long-cell", "extra-cell", "extra-row", "string-cell", "short-cell",
+        "string-row", "string-unity", "string-labels"])
+def test_document_arrays_must_hold_exactly_dim_values(mangle, message):
+    doc = algebra_to_doc(upper_triangular(2))
+    mangle(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        algebra_from_doc(doc, strict=False)
+
+
 def test_first_bad_literal_in_a_document_is_reported():
     # Constants are parsed once per distinct text, in table order, so the
     # first bad literal is the one named, as when each was parsed alone.
@@ -360,6 +387,37 @@ def test_first_bad_literal_in_a_document_is_reported():
     with pytest.raises(ValueError, match=re.escape(
             "literal '3 mod 7' names modulus 7, ring has 5")):
         algebra_from_doc(doc)
+
+
+# The built-in specs, over Q and, where the algebra exists there, Z/5.
+BUILT_INS = [(spec, ring) for spec in (
+    "ring", "tn2", "tn3", "tn4", "mn2", "mn3", "poly(tn2,2)", "poly(mn2,1)",
+    "poly(ring,3)", "quat", "tensor(tn2,tn2)", "tensor(quat,ring)", "tensor(mn2,tn2)",
+) for ring in (QQ, Zmod(5)) if ring == QQ or not spec.startswith(("quat", "tensor"))]
+
+
+@pytest.mark.parametrize("spec, ring", BUILT_INS, ids=lambda x: str(x))
+def test_sparse_build_matches_a_dense_table(monkeypatch, spec, ring):
+    built = []
+    build = algebra_mod._build
+
+    def recording(ring, labels, entries, unity, dim, factors=None):
+        built.append((entries, dim))
+        return build(ring, labels, entries, unity, dim, factors)
+
+    monkeypatch.setattr(algebra_mod, "_build", recording)
+    alg = from_spec(spec, ring)
+    entries, d = built[-1]
+    assert alg.sc == tuple(
+        tuple(tuple(ring.coerce(entries.get((i, j, k), 0)) for k in range(d))
+              for j in range(d))
+        for i in range(d))
+    assert alg._pair_table == tuple(
+        tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+        for row in alg.sc)
+    # Equal cells are one tuple.
+    cells = [cell for row in alg.sc for cell in row]
+    assert len(set(map(id, cells))) == len(set(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,25 @@ def test_check_refuses_a_document_that_is_not_an_object(capsys, tmp_path, flag, 
     assert err == f"error: {path} is not a JSON object\n"
 
 
+def test_check_refuses_vectors_that_are_not_arrays_of_dim_values(capsys, tmp_path):
+    # Strings used to be read as their characters, and longer arrays cut to
+    # length: the first document checked the identity map, the second tn2.
+    rows = ["100", "010", "001"]
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    alg = algebra_to_doc(upper_triangular(2))
+    alg["sc"][0][0].append("0")
+    for doc, message in (
+        ({"algebra": "tn2", "f": rows, "g": ident, "h": ident},
+         "bad triple document: matrix must be 3 x 3"),
+        ({"algebra": alg, "f": ident, "g": ident, "h": ident},
+         "bad triple document: structure constants must be a 3 x 3 x 3 array"),
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--kind", "left-gh", "--triple", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # catalog and verify-paper
 # ---------------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_tn_left_family_frozen_matrix():
         assert not any(t.f.column(j))
 
 
+def test_tn_families_build_on_the_callers_algebra():
+    t3 = upper_triangular(3, Zmod(5))
+    gp, hp = [1, 2, 3, 4, 5, 6], [7, 8, 9]
+    for family, g in ((tn_jordan_family, gp), (tn_left_family, hp)):
+        t = family(3, g, hp, alg=t3)
+        assert t.alg is t3
+        assert t == family(3, g, hp, ring=Zmod(5))
+        with pytest.raises(ValueError, match="dimension 3 is not T3"):
+            family(3, g, hp, alg=upper_triangular(2))
+
+
 def test_family_parameter_counts():
     with pytest.raises(BadParameterCount):
         tn_jordan_family(2, [1, 2], [3, 4])
@@ -241,6 +252,22 @@ def test_triple_doc_bad_shape_rejected():
     doc = {"algebra": "tn2", "f": [[0]], "g": [[0]], "h": [[0]]}
     with pytest.raises(ValueError):
         triple_from_doc(doc)
+
+
+@pytest.mark.parametrize("matrix", [
+    ["100", "010", "001"],                                   # rows as strings
+    "abc",                                                   # the matrix as a string
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]],                    # a long row
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],            # an extra row
+    [[1, 0], [0, 1, 0], [0, 0, 1]],                          # a short row
+    [1, 2, 3],
+], ids=["string-rows", "string", "long-row", "extra-row", "short-row", "numbers"])
+def test_map_rows_must_hold_exactly_dim_values(matrix):
+    t2 = upper_triangular(2)
+    with pytest.raises(ValueError, match=r"^matrix must be 3 x 3$"):
+        map_from_doc({"matrix": matrix}, alg=t2)
+    with pytest.raises(ValueError, match=r"^matrix must be 3 x 3$"):
+        LinMap.from_columns(t2, matrix)
 
 
 coeff = st.integers(-9, 9)

@@ -13,9 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghderiv.algebra import StructureAlgebra, tensor_product, upper_triangular
+from ghderiv.algebra import (
+    StructureAlgebra,
+    algebra_from_doc,
+    algebra_to_doc,
+    tensor_product,
+    upper_triangular,
+)
 from ghderiv.identities import IdentityKind, check
-from ghderiv.linmap import LinMap, MapTriple
+from ghderiv.linmap import LinMap, MapTriple, map_from_doc, triple_from_doc
 from ghderiv.ring import (
     QQ,
     NotAUnit,
@@ -187,6 +193,18 @@ def test_coercer_memo_lets_no_lookalike_through(ring, good, bad):
         LinMap.from_rows(t2, [[good, bad, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         LinMap.from_columns(t2, [[good, 0, 0], [bad, 0, 0], [0, 0, 0]])
+    # A whole cell or row equal to one met before: [bad, 0, 0] after
+    # [good, 0, 0] must not be handed the good vector's values.
+    doc = algebra_to_doc(t2)
+    doc["sc"][0][0] = [good, 0, 0]
+    doc["sc"][1][0] = [bad, 0, 0]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        algebra_from_doc(doc)
+    rows = [[good, 0, 0], [bad, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        map_from_doc({"matrix": rows}, alg=t2)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        triple_from_doc({"f": rows, "g": rows, "h": rows}, alg=t2)
 
 
 @pytest.mark.parametrize("ring", [QQ, Zmod(5)])
@@ -232,6 +250,18 @@ def test_coercers_share_no_state(monkeypatch):
     # Values of other types are never remembered.
     assert first(Fraction(4)) == first(Fraction(4)) == 4
     assert calls[3:] == [Fraction(4)] * 2
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(5)])
+def test_vectors_are_coerced_once_and_shared(ring):
+    vector = ring.vectors(2, "want 2")
+    a = vector([1, "0"])
+    assert a == (1, 0) and vector([1, "0"]) is a and vector((1, "0")) is a
+    # Fractions are never keyed, yet give the same raw values.
+    assert vector([Fraction(1), 0]) == a
+    for bad in ("10", [1, 0, 0], [1], None, {"0": 1, "1": 0}):
+        with pytest.raises(ValueError, match="^want 2$"):
+            vector(bad)
 
 
 # ---------------------------------------------------------------------------
