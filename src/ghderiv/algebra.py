@@ -144,10 +144,8 @@ class StructureAlgebra:
     # -- elements -----------------------------------------------------------
 
     def element(self, coords) -> "AlgElement":
-        vals = tuple(map(self.ring.coerce, coords))
-        if len(vals) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(vals)}")
-        return AlgElement(self, vals)
+        error = f"expected an array of {self.dim} coordinates"
+        return AlgElement(self, tuple(map(self.ring.coerce, array(coords, self.dim, error))))
 
     def basis_element(self, i: int) -> "AlgElement":
         return AlgElement(self, tuple(int(k == i) for k in range(self.dim)))

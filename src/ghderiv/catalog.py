@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 from .ring import QQ, CompositeModulusUnsupported, RingSpec, Zmod
 from . import algebra as alg_mod
@@ -581,14 +580,12 @@ def _run_polylift(spec, kind, want):
         require(len(draws) == want, f"{len(draws)} distinct solutions, expected {want}")
         poly = truncated_poly(sp.alg, 3)
         # Compiling costs as much as 1-7 interpreted checks (d 12-16); one lift is interpreted.
-        if len(draws) == 1:
-            check = partial(ident.check, kind)
-        else:
-            check = solver.build_system(poly, kind).check
+        holds = (solver.build_system(poly, kind).evaluate if len(draws) > 1
+                 else lambda t: ident.check(kind, t).holds)
         for coeffs in draws:
             lifted = _poly_lift_triple(poly, sp.combination(coeffs))
             require(
-                check(lifted).holds,
+                holds(lifted),
                 f"lift of a random solution fails {kind.value}",
             )
         checked = (

@@ -5,10 +5,11 @@ templates relating f, g and h through products in the algebra.  The
 checkers here evaluate the table on elements; ``solver.build_system``
 compiles the same table into linear rows.
 
-This element interpreter is the reference evaluator: the CLI ``check``
-command and the substitution certificate of ``solver.verify_space`` use
-it.  ``solver.LinearSystem.check`` is the other one, for many triples on
-one algebra: it evaluates compiled rows and gives the same report.
+This element interpreter is the reference evaluator, and the one that
+says where an identity fails: the CLI ``check`` command and the
+substitution certificate of ``solver.verify_space`` use it.  The compiled
+rows of ``solver.LinearSystem.evaluate`` answer only whether a triple
+holds, for many triples on one algebra.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;
@@ -26,9 +27,9 @@ is checked on every basis vector together with its polarized form
     D(ab + ba) = D(a)b + aD(b) + D(b)a + bD(a)
 
 on every pair i < j, which is exactly equivalent (expand D((a+b)^2)).
-``templates_at`` holds that rule for both interpreters.  Nothing here
-divides by 2, so the checks are honest over rings with 2-torsion such as
-Z/4Z.
+``templates_at`` holds that rule for the checker and the row compiler.
+Nothing here divides by 2, so the checks are honest over rings with
+2-torsion such as Z/4Z.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "PreconditionFailed",
     "check",
     "identity_sides",
-    "sides_at_pair",
     "is_derivation",
     "is_jordan_derivation",
     "is_left_derivation",
@@ -253,20 +253,6 @@ def identity_sides(
              for q, w in enumerate(b.coords) if w]
     return [_dense(alg, sides)
             for sides in _evaluate(IDENTITIES[kind], _triple_columns(t), alg, pairs)]
-
-
-def sides_at_pair(
-    kind: IdentityKind, t: MapTriple, i: int, j: int
-) -> list[tuple[AlgElement, AlgElement]]:
-    """The instances the checker evaluates at basis pair (i, j).
-
-    Mirrors ``check`` exactly, including the square-identity convention:
-    the plain square form on the diagonal, the polarized form for i < j,
-    nothing for i > j.
-    """
-    cols, alg = _triple_columns(t), t.alg
-    return [_dense(alg, sides)
-            for sides in _evaluate(templates_at(kind, i, j), cols, alg, ((i, j, 1),))]
 
 
 def check(kind: IdentityKind, t: MapTriple) -> CheckReport:

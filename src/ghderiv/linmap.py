@@ -226,6 +226,17 @@ def _tn(n: int, ring: RingSpec, alg: StructureAlgebra | None) -> StructureAlgebr
     return alg
 
 
+def _params(alg: StructureAlgebra, values, n: int, name: str) -> list:
+    """The ``name`` parameters, coerced; BadParameterCount unless ``values``
+    is a list or tuple of ``n`` of them.  A string is not a list."""
+    error = f"need an array of {n} {name} parameters"
+    try:
+        array(values, n, error)
+    except ValueError:
+        raise BadParameterCount(error) from None
+    return [alg.ring.coerce(x) for x in values]
+
+
 def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ,
                      alg: StructureAlgebra | None = None) -> MapTriple:
     """Two-sided-identity solution family over the upper triangular algebra.
@@ -247,12 +258,8 @@ def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ,
     alg = _tn(n, ring, alg)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
-    gp = [alg.ring.coerce(x) for x in gparams]
-    hp = [alg.ring.coerce(x) for x in hparams]
-    if len(gp) != len(positions):
-        raise BadParameterCount(f"need {len(positions)} g parameters, got {len(gp)}")
-    if len(hp) != n:
-        raise BadParameterCount(f"need {n} h parameters, got {len(hp)}")
+    gp = _params(alg, gparams, len(positions), "g")
+    hp = _params(alg, hparams, n, "h")
 
     def g_column(a, b):
         col = [0] * alg.dim
@@ -286,10 +293,8 @@ def tn_left_family(n, gparams, hparams, ring: RingSpec = QQ,
     alg = _tn(n, ring, alg)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
-    gp = [alg.ring.coerce(x) for x in gparams]
-    hp = [alg.ring.coerce(x) for x in hparams]
-    if len(gp) != n or len(hp) != n:
-        raise BadParameterCount(f"need {n} parameters per map")
+    gp = _params(alg, gparams, n, "g")
+    hp = _params(alg, hparams, n, "h")
 
     def column(params, a, b):
         col = [0] * alg.dim

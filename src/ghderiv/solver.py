@@ -23,20 +23,18 @@ Solving needs a field-like ring (Q or prime modulus): composite moduli
 raise CompositeModulusUnsupported.  The identity checkers keep working
 over composite moduli; only elimination is restricted.
 
-Rows are also an evaluator.  Indexed by column, they let a triple be
-tested by adding each of its nonzero entries into the rows of its column.
-``LinearSystem.evaluate`` does so over every row, constraint rows
-included; ``LinearSystem.check`` reads the identity rows only and gives
-the report of ``identities.check``, the element interpreter that stays
-the reference for single checks and certificates.  One compiled system
-pays when many triples are checked on one algebra.
+Rows are also an evaluator, and it answers one question: does a triple
+hold?  ``LinearSystem.evaluate`` flattens it into a sparse row (the one
+vector form here, ``triple_to_row``) and adds each entry into the rows of
+its column, constraint rows included.  Where a triple fails is the
+question of ``identities.check``.  One compiled system pays when many
+triples are checked on one algebra.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -46,7 +44,7 @@ from .ring import RingMismatch
 from .algebra import AlgebraMismatch, StructureAlgebra
 from .linmap import LinMap, MapTriple
 from . import identities
-from .identities import CheckReport, Counterexample, IdentityKind
+from .identities import IdentityKind
 
 __all__ = [
     "Constraints",
@@ -62,8 +60,8 @@ __all__ = [
     "canonical_span",
     "project_gh_injectivity",
     "gh_collapse",
-    "triple_to_vec",
-    "vec_to_triple",
+    "triple_to_row",
+    "row_to_triple",
 ]
 
 
@@ -99,27 +97,23 @@ def _col(d: int, name: str, j: int, i: int) -> int:
     return _BLOCKS[name] * d * d + j * d + i
 
 
-def triple_to_vec(t: MapTriple) -> list:
-    """Flatten a triple into the solver's unknown order."""
+def triple_to_row(t: MapTriple) -> dict:
+    """Flatten a triple into the solver's unknown order: the sparse row
+    {column: nonzero value}, its columns in ascending order."""
     d = t.alg.dim
-    out = []
-    for m in (t.f, t.g, t.h):
-        for j in range(d):
-            for i in range(d):
-                out.append(m.mat[i][j])
-    return out
+    return {b * d * d + j * d + i: v for b, m in enumerate((t.f, t.g, t.h))
+            for j, column in enumerate(zip(*m.mat)) for i, v in enumerate(column) if v}
 
 
-def vec_to_triple(alg: StructureAlgebra, vec) -> MapTriple:
+def row_to_triple(alg: StructureAlgebra, row: dict) -> MapTriple:
+    """The triple a sparse row flattens: entry (i, j) of block b is column
+    b d^2 + j d + i."""
     d = alg.dim
-    def block(off):
-        return LinMap(
-            alg,
-            tuple(
-                tuple(vec[off + j * d + i] for j in range(d)) for i in range(d)
-            ),
-        )
-    return MapTriple(block(0), block(d * d), block(2 * d * d))
+    mats = [[[0] * d for _ in range(d)] for _ in range(3)]
+    for c, v in row.items():
+        b, rest = divmod(c, d * d)
+        mats[b][rest % d][rest // d] = v
+    return MapTriple(*(LinMap(alg, tuple(map(tuple, m))) for m in mats))
 
 
 def _column_index(rows) -> dict:
@@ -139,28 +133,6 @@ def _column_index(rows) -> dict:
     return index
 
 
-def _nonzero_rows(index: dict, vec, reduce) -> list:
-    """The ids of the indexed rows that ``vec`` does not kill, unordered.
-
-    Each nonzero of ``vec`` is added into the rows of its column only, so
-    the cost is the number of index entries in the columns ``vec`` holds.
-    A positive multiple of ``vec`` kills the same rows over Q, so its
-    denominators are cleared first and the sums are int sums; residues
-    over Z/m are ints, whose denominators are 1, and stay as they are.
-    """
-    scale = lcm(*(x.denominator for x in vec))
-    if scale != 1:
-        vec = [x.numerator * (scale // x.denominator) for x in vec]
-    acc: dict = {}
-    get = acc.get
-    for c, x in enumerate(vec):
-        if x and c in index:
-            ids, vals = index[c]
-            for r, v in zip(ids, vals):
-                acc[r] = get(r, 0) + v * x
-    return [r for r, s in acc.items() if reduce(s)]
-
-
 def _text_rows(rows, ncols: int, fmt) -> list:
     """Sparse rows as dense lists of length ``ncols`` of text forms; the
     text of 0 is formatted once and shared."""
@@ -172,19 +144,6 @@ def _text_rows(rows, ncols: int, fmt) -> list:
             line[c] = fmt(v)
         out.append(line)
     return out
-
-
-def _row_ends(d: int, kind: IdentityKind) -> array:
-    """Entry p is the number of row positions up to and including basis
-    pair p = i * d + j: one per output coordinate of each template there.
-    Constraint rows come after the last entry."""
-    ends = array("l")
-    n = 0
-    for i in range(d):
-        for j in range(d):
-            n += d * len(identities.templates_at(kind, i, j))
-            ends.append(n)
-    return ends
 
 
 @dataclass(frozen=True)
@@ -223,47 +182,34 @@ class LinearSystem:
     def _index(self) -> dict:
         return _column_index(self.rows)
 
-    @cached_property
-    def _pair_ends(self) -> array:
-        return _row_ends(self.alg.dim, self.kind)
+    def _kills(self, row: dict) -> bool:
+        """Does the sparse row, a flattened triple, kill every stored row?
 
-    def _failing_rows(self, t: MapTriple) -> list:
-        """The indices in ``rows`` of the rows the flattened triple does not
-        kill, unordered.
-
-        Reads the rows through their column index, built on first use, so
-        rows that share no column with the triple are never visited.
+        Each entry of ``row`` is added into the rows of its column only,
+        read through the column index built on first use, so the cost is
+        the number of index entries in the columns ``row`` holds.  A
+        positive multiple of ``row`` kills the same rows over Q, so its
+        denominators are cleared first and the sums are int sums; residues
+        over Z/m are ints, whose denominators are 1, and stay as they are.
         """
-        if not t.alg == self.alg:
-            raise AlgebraMismatch("triple and system live on different algebras")
-        return _nonzero_rows(self._index, triple_to_vec(t), self.alg.ring.reduce)
+        scale = lcm(*(x.denominator for x in row.values()))
+        if scale != 1:
+            row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+        index, acc = self._index, {}
+        get = acc.get
+        for c, x in row.items():
+            if c in index:
+                ids, vals = index[c]
+                for r, v in zip(ids, vals):
+                    acc[r] = get(r, 0) + v * x
+        return not any(map(self.alg.ring.reduce, acc.values()))
 
     def evaluate(self, t: MapTriple) -> bool:
         """Substitution check: does the triple kill every row, constraint
         rows included?"""
-        return not self._failing_rows(t)
-
-    def check(self, t: MapTriple) -> CheckReport:
-        """``identities.check(kind, t)``, counterexample included, read off
-        the identity rows; constraint rows are ignored.
-
-        Rows are stored in (i, j, coordinate, template) order, so the
-        smallest failing stored row, if it is an identity row, lies at the
-        lex-first failing pair: its position locates the pair, where the
-        element interpreter then recomputes both sides of every template
-        and reports the first unequal one.
-        """
-        failing = self._failing_rows(t)
-        position = self.positions[min(failing)] if failing else None
-        ends = self._pair_ends
-        if position is None or position >= ends[-1]:
-            return CheckReport(True)
-        i, j = divmod(bisect_right(ends, position), self.alg.dim)
-        for lhs, rhs in identities.sides_at_pair(self.kind, t, i, j):
-            if lhs.coords != rhs.coords:
-                return CheckReport(False, Counterexample(i, j, lhs, rhs))
-        raise AssertionError(f"compiled rows of {self.kind.value} fail at pair "
-                             f"({i}, {j}), where the identity holds")
+        if not t.alg == self.alg:
+            raise AlgebraMismatch("triple and system live on different algebras")
+        return self._kills(triple_to_row(t))
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
@@ -342,7 +288,9 @@ def build_system(
     for p, row in _emit_identity_rows(alg, kind):
         positions.append(p)
         rows.append(row)
-    nrows = _row_ends(d, kind)[-1]
+    # One layout row per output coordinate of each template at each pair.
+    nrows = d * sum(len(identities.templates_at(kind, i, j))
+                    for i in range(d) for j in range(d))
     identity_rows = len(rows)
     if cons.force_g_eq_h:
         for j in range(d):
@@ -391,9 +339,7 @@ class SolutionSpace:
 
     @cached_property
     def basis(self) -> tuple:
-        ncols = 3 * self.alg.dim ** 2
-        return tuple(vec_to_triple(self.alg, [row.get(c, 0) for c in range(ncols)])
-                     for row in self.canonical)
+        return tuple(row_to_triple(self.alg, row) for row in self.canonical)
 
     def combination(self, coeffs) -> MapTriple:
         """The linear combination sum(coeffs[k] * basis[k]), summed in one
@@ -401,12 +347,13 @@ class SolutionSpace:
         if len(coeffs) != self.dim:
             raise ValueError(f"need {self.dim} coefficients")
         ring = self.alg.ring
-        acc = [0] * (3 * self.alg.dim ** 2)
+        acc: dict = {}
         for c, row in zip(map(ring.coerce, coeffs), self.canonical):
             if c:
                 for col, v in row.items():
-                    acc[col] += c * v
-        return vec_to_triple(self.alg, [ring.reduce(v) for v in acc])
+                    acc[col] = acc.get(col, 0) + c * v
+        return row_to_triple(self.alg, {col: r for col, v in acc.items()
+                                        if (r := ring.reduce(v))})
 
     def to_doc(self) -> dict:
         """The solution document.  Basis triples reshape the formatted canonical
@@ -424,10 +371,6 @@ class SolutionSpace:
                        for name, b in _BLOCKS.items()} for line in canonical],
             "canonical": canonical,
         }
-
-
-def _sparse(vec) -> dict:
-    return {c: v for c, v in enumerate(vec) if v}
 
 
 def nullspace(system: LinearSystem) -> SolutionSpace:
@@ -469,23 +412,27 @@ def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
 
 
 def verify_space(space: SolutionSpace) -> bool:
-    """Three independent certificates for a computed solution space.
+    """Three certificates for a computed solution space.
 
-    1. substitution: every basis triple passes the identity checker (and
-       the extra constraints) directly;
-    2. rank-nullity: dim equals 3d^2 minus the rank of a freshly rebuilt
-       and re-eliminated system;
+    1. substitution: every basis triple passes the identity checker and
+       the extra constraints, and its canonical row, the flattened triple,
+       kills every row of a freshly rebuilt system;
+    2. rank-nullity: dim equals 3d^2 minus the rank of that system;
     3. stability: re-eliminating under a seeded random row and column
        permutation, un-permuting that nullspace and re-canonicalising it
        reproduces ``canonical`` exactly.
+
+    Certificates 2 and 3 re-run ``_linalg.rref``, so they share code with
+    the solver.  None proves that the compiled rows state the identity;
+    ``tests/test_check_paths.py`` pins that.
     """
     system = build_system(space.alg, space.kind, space.constraints)
-    for t in space.basis:
+    for row, t in zip(space.canonical, space.basis):
         if not identities.check(space.kind, t).holds:
             return False
         if not _constraints_hold(space, t):
             return False
-        if not system.evaluate(t):
+        if not system._kills(row):
             return False
     ring = space.alg.ring
     echelon, _ = _linalg.rref(system.rows, ring)
@@ -531,8 +478,7 @@ def space_member(space: SolutionSpace, t: MapTriple) -> bool:
         raise RingMismatch("triple and space live over different rings")
     if t.alg.dim != space.alg.dim:
         raise ValueError("triple and space live on algebras of different dimension")
-    vec = _sparse(triple_to_vec(t))
-    return not _linalg.residual(vec, space.canonical, space.alg.ring)
+    return not _linalg.residual(triple_to_row(t), space.canonical, space.alg.ring)
 
 
 def canonical_span(alg: StructureAlgebra, triples) -> tuple:
@@ -546,7 +492,7 @@ def canonical_span(alg: StructureAlgebra, triples) -> tuple:
     for t in triples:
         if t.alg.ring != alg.ring:
             raise RingMismatch("triple lives over a different ring")
-        rows.append(_sparse(triple_to_vec(t)))
+        rows.append(triple_to_row(t))
     echelon, _ = _linalg.rref(rows, alg.ring)
     return tuple(echelon)
 

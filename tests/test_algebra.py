@@ -294,6 +294,14 @@ def test_element_arithmetic():
     assert a * b == t2.element(["1/2", "-6", "-9"])
 
 
+@pytest.mark.parametrize("coords", ["100", "1", [1, 0], [1, 0, 0, 0], (x for x in (1, 0, 0))],
+                         ids=["string", "short-string", "short", "long", "generator"])
+def test_element_coordinates_must_be_an_array_of_dim_values(coords):
+    # A string used to be read as its characters: "100" gave e11.
+    with pytest.raises(ValueError, match=r"^expected an array of 3 coordinates$"):
+        upper_triangular(2).element(coords)
+
+
 def test_cross_algebra_operations_rejected():
     t2, m2 = upper_triangular(2), full_matrix(2)
     with pytest.raises(AlgebraMismatch):

@@ -1,13 +1,14 @@
 """The two identity evaluators and the row compiler, pinned to brute force.
 
-``identities.check`` interprets the identity table at every basis pair on
-sparse coordinates; the ``check`` of ``solver.build_system(alg, kind)``,
-the one compiled evaluator, reads the identity rows through a column index
-and recomputes only the failing pair.  Both must give the report that
-evaluating every identity, written out below by hand, at every ordered
-basis pair gives: the same verdict, and the same lex-first counterexample
-with both sides.  The cases run up to dimension 12, on dense triples and
-on sparse ones (basis triples of solved spaces, single-column maps).
+Evaluating every identity, written out below by hand, at every ordered
+basis pair gives the reference report.  ``identities.check`` interprets
+the identity table at every basis pair on sparse coordinates and must
+give that report: the same verdict, and the same lex-first counterexample
+with both sides.  The ``evaluate`` of ``solver.build_system(alg, kind)``,
+the compiled evaluator, reads the rows through a column index and must
+give the same verdict.  The cases run up to dimension 12, on dense
+triples and on sparse ones (basis triples of solved spaces, single-column
+maps).
 ``identities.identity_sides`` must give the hand-written sides at any two
 elements, not only basis vectors.  The rows ``solver.build_system`` emits
 must be the ones the same hand-written identities give on maps whose
@@ -166,10 +167,10 @@ def draw_case(solved):
 def test_compiled_check_and_interpreter_match_brute_force(draw_case, data):
     kind, t = data.draw(draw_case)
     want = brute_force_doc(kind, t)
-    assert check(kind, t).to_doc() == want
-    report = build_system(t.alg, kind).check(t)
+    report = check(kind, t)
     assert report.to_doc() == want
     assert bool(report) is want["holds"]
+    assert build_system(t.alg, kind).evaluate(t) is want["holds"]
 
 
 ELEMENT_SPECS = {
@@ -220,11 +221,10 @@ def test_identity_sides_reject_another_algebra():
 def test_compiled_check_rejects_another_algebra():
     compiled = build_system(from_spec("tn2"), K.LEFT_GH)
     for other in (from_spec("tn2", Zmod(5)), from_spec("mn2")):
-        for evaluator in (compiled.check, compiled.evaluate):
-            with pytest.raises(AlgebraMismatch):
-                evaluator(MapTriple.zero(other))
+        with pytest.raises(AlgebraMismatch):
+            compiled.evaluate(MapTriple.zero(other))
     # A separately built, equal algebra is the same algebra.
-    assert compiled.check(MapTriple.zero(from_spec("tn2"))).holds
+    assert compiled.evaluate(MapTriple.zero(from_spec("tn2")))
 
 
 class Form(dict):
@@ -306,8 +306,9 @@ def test_emitted_rows_match_dense_compile(spec, ring):
 
 
 def test_constraint_rows_follow_the_identity_rows():
-    """With every constraint at once: ``check`` ignores the constraint rows,
-    ``evaluate`` honours them, and the document prints them last."""
+    """With every constraint at once: ``evaluate`` honours the constraint
+    rows, which the unconstrained system lacks, and the document prints
+    them last."""
     alg = from_spec("tn2")
     d, ring = alg.dim, alg.ring
     cons = Constraints(force_g_eq_h=True, force_f_zero=True, f_zero_basis=(1,))
@@ -323,12 +324,13 @@ def test_constraint_rows_follow_the_identity_rows():
     # A solution of the identity alone with f != 0 breaks f = 0; the
     # identity triple breaks the identity itself.
     holding = next(t for t in solve(alg, K.LEFT_GH).basis if not t.f.is_zero())
-    assert system.check(holding).to_doc() == {"holds": True}
+    assert check(K.LEFT_GH, holding).to_doc() == {"holds": True}
     assert not system.evaluate(holding)
     assert build_system(alg, K.LEFT_GH).evaluate(holding)
     failing = MapTriple(*[LinMap.identity(alg)] * 3)
-    assert system.check(failing).to_doc() == check(K.LEFT_GH, failing).to_doc()
-    assert not system.check(failing).holds
+    assert not check(K.LEFT_GH, failing).holds
+    assert not system.evaluate(failing)
+    assert not build_system(alg, K.LEFT_GH).evaluate(failing)
     # Over the CLI the document prints the constraint rows after the rest.
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

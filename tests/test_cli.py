@@ -205,6 +205,18 @@ def test_check_refuses_a_document_that_is_not_an_object(capsys, tmp_path, flag, 
     assert err == f"error: {path} is not a JSON object\n"
 
 
+@pytest.mark.parametrize("flag", ["--triple", "--map"])
+def test_check_refuses_a_document_nested_too_deeply(capsys, tmp_path, flag):
+    # 200 KB of brackets: deep, not oversized.  json.load raises
+    # RecursionError on it, which used to escape main as a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "check", "--kind", "left-gh", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} is nested too deeply to parse\n"
+    assert "Traceback" not in err
+
+
 def test_check_refuses_vectors_that_are_not_arrays_of_dim_values(capsys, tmp_path):
     # Strings used to be read as their characters, and longer arrays cut to
     # length: the first document checked the identity map, the second tn2.

@@ -29,6 +29,7 @@ from ghderiv.linmap import (
     tn_left_family,
 )
 from ghderiv.identities import (
+    IDENTITIES,
     IdentityKind,
     PreconditionFailed,
     audit_doubled_substitution,
@@ -43,7 +44,7 @@ from ghderiv.identities import (
     is_left_derivation,
     is_left_gh_derivation,
     is_right_centralizer,
-    sides_at_pair,
+    templates_at,
 )
 from ghderiv.catalog import worked_cases
 
@@ -56,11 +57,19 @@ def cases():
 def first_failure(kind, t):
     """Re-scan pairs lexicographically; return (i, j, lhs, rhs) of the first
     failing template instance.  Used to confirm the checker's counterexample
-    really is the earliest one."""
-    d = t.alg.dim
-    for i in range(d):
-        for j in range(d):
-            for lhs, rhs in sides_at_pair(kind, t, i, j):
+    really is the earliest one.  The templates at (i, j) are the kind's
+    own, or, on the diagonal of the square identity, the product rule: the
+    derivation template at (e_i, e_i)."""
+    alg = t.alg
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            templates = templates_at(kind, i, j)
+            if not templates:
+                continue
+            at = kind if templates == IDENTITIES[kind] else IdentityKind.DERIVATION
+            assert templates == IDENTITIES[at]
+            a, b = alg.basis_element(i), alg.basis_element(j)
+            for lhs, rhs in identity_sides(at, t, a, b):
                 if lhs.coords != rhs.coords:
                     return i, j, lhs, rhs
     return None
@@ -328,14 +337,16 @@ def test_checker_rejects_non_map_input():
 
 
 def test_square_identity_pair_conventions():
-    t2 = upper_triangular(2)
-    t = MapTriple.zero(t2)
-    assert len(sides_at_pair(IdentityKind.JORDAN_DERIVATION, t, 1, 1)) == 1
-    assert len(sides_at_pair(IdentityKind.JORDAN_DERIVATION, t, 0, 2)) == 1
-    assert sides_at_pair(IdentityKind.JORDAN_DERIVATION, t, 2, 0) == []
+    jd = IdentityKind.JORDAN_DERIVATION
+    # The square form on the diagonal, the polarized form for i < j only.
+    assert len(templates_at(jd, 1, 1)) == 1
+    assert templates_at(jd, 1, 1) == IDENTITIES[IdentityKind.DERIVATION]
+    assert len(templates_at(jd, 0, 2)) == 1
+    assert templates_at(jd, 0, 2) == IDENTITIES[jd]
+    assert templates_at(jd, 2, 0) == ()
     # Everything else evaluates on all ordered pairs.
-    assert len(sides_at_pair(IdentityKind.LEFT_GH, t, 2, 0)) == 2
-    assert len(sides_at_pair(IdentityKind.JORDAN_LEFT_GH, t, 2, 0)) == 1
+    assert len(templates_at(IdentityKind.LEFT_GH, 2, 0)) == 2
+    assert len(templates_at(IdentityKind.JORDAN_LEFT_GH, 2, 0)) == 1
 
 
 def test_polarized_form_matches_square_expansion():
@@ -352,7 +363,9 @@ def test_polarized_form_matches_square_expansion():
     for i in range(6):
         for j in range(i + 1, 6):
             a, b = t3.basis_element(i), t3.basis_element(j)
-            (lhs, rhs), = sides_at_pair(IdentityKind.JORDAN_DERIVATION, t, i, j)
+            assert templates_at(IdentityKind.JORDAN_DERIVATION, i, j) == \
+                IDENTITIES[IdentityKind.JORDAN_DERIVATION]
+            (lhs, rhs), = identity_sides(IdentityKind.JORDAN_DERIVATION, t, a, b)
             assert lhs == f(a * b + b * a)
             assert rhs == f(a) * b + a * f(b) + f(b) * a + b * f(a)
 

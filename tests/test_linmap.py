@@ -147,6 +147,19 @@ def test_family_parameter_counts():
         quat_jordan_family(full_matrix(3).one())
 
 
+def test_family_parameters_must_be_arrays():
+    # Strings used to be read as their characters: "123" gave g from (1, 2, 3).
+    with pytest.raises(ValueError, match=r"^need an array of 3 g parameters$"):
+        tn_jordan_family(2, "123", "45")
+    with pytest.raises(ValueError, match=r"^need an array of 2 h parameters$"):
+        tn_jordan_family(2, [1, 2, 3], "45")
+    with pytest.raises(ValueError, match=r"^need an array of 2 g parameters$"):
+        tn_left_family(2, "10", [0, 1])
+    with pytest.raises(ValueError, match=r"^need an array of 2 h parameters$"):
+        tn_left_family(2, [1, 0], "01")
+    assert tn_jordan_family(2, (1, 2, 3), (4, 5)) == tn_jordan_family(2, [1, 2, 3], [4, 5])
+
+
 def test_mn_jordan_family_frozen_matrices():
     m2 = full_matrix(2)
     t = mn_jordan_family(2, m2.element([1, 2, 3, 4]))

@@ -40,8 +40,8 @@ from ghderiv.solver import (
     space_contains,
     space_equal,
     space_member,
-    triple_to_vec,
-    vec_to_triple,
+    row_to_triple,
+    triple_to_row,
     verify_space,
 )
 
@@ -137,7 +137,7 @@ def test_verify_space_rejects_tampering(solved):
     t2 = sp.alg
     # A planted non-solution basis vector must trip the substitution check.
     planted = MapTriple(*[LinMap.identity(t2)] * 3)
-    vec = {c: v for c, v in enumerate(triple_to_vec(planted)) if v}
+    vec = triple_to_row(planted)
     assert not verify_space(dataclasses.replace(sp, canonical=sp.canonical[:-1] + (vec,)))
     row, last = sp.canonical[0], 3 * t2.dim ** 2 - 1
     perturbed = {**row, last: row.get(last, 0) + 1}
@@ -220,13 +220,12 @@ def test_triple_vector_layout():
     d = t2.dim
     g = LinMap.from_rows(t2, [[0, 0, 0], [0, 0, 7], [0, 0, 0]])
     t = MapTriple(g, g, LinMap.zero(t2))
-    vec = triple_to_vec(t)
+    row = triple_to_row(t)
     # Entry (row 1, column 2) sits at offset 2*d + 1 inside its block.
     hot = 2 * d + 1
-    assert str(vec[hot]) == "7"
-    assert str(vec[d * d + hot]) == "7"
-    assert not any(v for k, v in enumerate(vec)
-                   if k not in (hot, d * d + hot))
+    assert str(row[hot]) == "7"
+    assert str(row[d * d + hot]) == "7"
+    assert row.keys() == {hot, d * d + hot}
 
 
 def test_triple_vector_round_trip():
@@ -237,8 +236,34 @@ def test_triple_vector_round_trip():
                               for _ in range(6)])
         for _ in range(3)
     ))
-    back = vec_to_triple(t3, triple_to_vec(t))
+    back = row_to_triple(t3, triple_to_row(t))
     assert back.f == t.f and back.g == t.g and back.h == t.h
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_triple_row_is_the_flattened_triple(data):
+    """Over Q and Z/5, on dense and sparse triples: ``triple_to_row`` is
+    the hand-written flatten, key order included, and ``row_to_triple``
+    inverts it."""
+    ring = data.draw(st.sampled_from([QQ, Zmod(5)]))
+    alg = upper_triangular(data.draw(st.integers(1, 3)), ring=ring)
+    d = alg.dim
+    values = (st.sampled_from([1, -2, Fraction(1, 2), Fraction(-5, 3)]) if ring == QQ
+              else st.integers(1, 4))
+    dense = data.draw(st.booleans())
+    mats = [[[data.draw(values) if dense or data.draw(st.integers(0, 4)) == 0 else 0
+              for _ in range(d)] for _ in range(d)] for _ in range(3)]
+    t = MapTriple(*(LinMap.from_rows(alg, m) for m in mats))
+    want = {}
+    for b, m in enumerate((t.f, t.g, t.h)):
+        for j in range(d):
+            for i in range(d):
+                if m.mat[i][j]:
+                    want[b * d * d + j * d + i] = m.mat[i][j]
+    row = triple_to_row(t)
+    assert list(row.items()) == list(want.items())
+    assert row_to_triple(alg, row) == t
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +335,8 @@ def test_combination_is_the_sum_of_scaled_basis_triples(solved, spec, ring, kind
             want = want + b.scale(c)
         got = sp.combination(coeffs)
         assert got == want
-        assert [type(v) for v in triple_to_vec(got)] == [type(v) for v in triple_to_vec(want)]
+        for m, w in ((got.f, want.f), (got.g, want.g), (got.h, want.h)):
+            assert [[type(v) for v in r] for r in m.mat] == [[type(v) for v in r] for r in w.mat]
 
 
 def test_gh_collapse(solved):
@@ -382,8 +408,8 @@ def _random_triple(alg, rng):
 
 def test_system_evaluate(solved):
     """The compiled rows and the checker read one identity table, so for
-    every kind they agree on solutions and on random triples that fail,
-    and the compiled check gives the checker's report."""
+    every kind they agree on solutions and on random triples that fail;
+    a constrained system also reads its constraint rows."""
     sp = solved("tn2", LGH)
     sys = build_system(sp.alg, LGH)
     for t in sp.basis:
@@ -396,30 +422,31 @@ def test_system_evaluate(solved):
                            ("poly(ring,1)", QQ)):
             sp = solved(spec, kind, ring=ring)
             sys = build_system(sp.alg, kind)
+            constrained = build_system(sp.alg, kind, Constraints(force_f_zero=True))
             holding = list(sp.basis)
             if sp.dim:
                 holding.append(sp.combination([rng.randint(-5, 5) for _ in range(sp.dim)]))
             for t in holding:
                 assert sys.evaluate(t) and check(kind, t).holds, (spec, kind)
-                assert sys.check(t).to_doc() == {"holds": True}, (spec, kind)
+                assert constrained.evaluate(t) is t.f.is_zero(), (spec, kind)
             for _ in range(4):
                 t = _random_triple(sp.alg, rng)
                 report = check(kind, t)
                 assert sys.evaluate(t) == report.holds, (spec, kind)
-                assert sys.check(t).to_doc() == report.to_doc(), (spec, kind)
+                assert not constrained.evaluate(t) or report.holds, (spec, kind)
                 failing += not report.holds
         assert failing, f"no random triple fails {kind.value}"
 
 
 def test_check_ignores_constraint_rows(solved):
-    """``check`` answers for the identity alone; ``evaluate`` also reads
-    the constraint rows, which come after the identity rows."""
+    """An unconstrained system answers for the identity alone; a
+    constrained one also reads the constraint rows, which come after the
+    identity rows."""
     sp = solved("tn2", LGH)
     t = next(t for t in sp.basis if not t.f.is_zero())
     sys = build_system(sp.alg, LGH, Constraints(force_f_zero=True))
-    assert sys.check(t).to_doc() == {"holds": True}
-    assert not sys.evaluate(t)
     assert build_system(sp.alg, LGH).evaluate(t)
+    assert not sys.evaluate(t)
 
 
 def test_square_identity_system_row_count():
