@@ -17,8 +17,9 @@ enough.  No step visits a pivot row whose column the row being reduced
 does not hold.
 
 The reduced row echelon form of a set of rows is unique, independent of
-row order, which is what makes canonical subspace comparison and
-reproducible bases possible.  Pivots are chosen in fixed ascending column
+row order, and it is the only answer given here: ``rref`` returns it for
+a set of rows, ``kernel`` for the solution space of a homogeneous system,
+with the system's rank.  Pivots are chosen in fixed ascending column
 order, first nonzero wins.
 """
 
@@ -115,25 +116,21 @@ def rref(rows, ring: RingSpec):
     return echelon, pivots
 
 
-def nullspace(echelon, pivots, ncols: int, ring: RingSpec):
-    """Basis of the solution set of the homogeneous system, one vector per
-    free column, in ascending free-column order.
+def kernel(rows, ncols: int, ring: RingSpec):
+    """``(canonical, rank)``: the reduced echelon form of the solution
+    space of the homogeneous system ``rows`` in ``ncols`` unknowns, and the
+    system's rank.
 
-    The vector of free column ``fc`` holds 1 at ``fc`` and, at each pivot
-    column, minus that pivot row's entry in ``fc``.  In reduced form a
-    pivot row holds no other pivot column, so one walk over the pivot rows'
-    entries, in ascending pivot order, fills every vector.
+    Each free column ``fc`` of the system's reduced form gives a solution:
+    1 at ``fc`` and, at each pivot column, minus that pivot row's entry in
+    ``fc``.  A pivot row holds no other pivot column, so one walk over the
+    pivot rows' entries fills every vector.
     """
+    echelon, pivots = rref(rows, ring)
     basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
     for pc, idx in pivots.items():
         for c, v in echelon[idx].items():
             if c != pc:
                 basis[c][pc] = ring.reduce(-v)
-    return list(basis.values())
-
-
-def residual(vec: dict, echelon, ring: RingSpec) -> dict:
-    """Remainder of ``vec`` against fully reduced rows, as ``rref`` returns
-    them, each pivoted on its smallest column; neither input is changed."""
-    pivrows = {min(row): row for row in echelon}
-    return _reduce_against(dict(vec), pivrows, ring.reduce)
+    canonical, _ = rref(basis.values(), ring)
+    return canonical, len(echelon)

@@ -474,9 +474,7 @@ def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
             row = {k: r for k, v in row.items() if (r := ring.reduce(v))}
             if row:
                 rows.append(row)
-    echelon, pivots = _linalg.rref(rows, ring)
-    basis = _linalg.nullspace(echelon, pivots, d, ring)
-    can, _ = _linalg.rref(basis, ring)
+    can, _ = _linalg.kernel(rows, d, ring)
     out = []
     for row in can:
         coords = [0] * d

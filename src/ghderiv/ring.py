@@ -11,7 +11,11 @@ After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
 (an integral ``Fraction`` becomes its ``int`` over Q, ``% m`` over Z/mZ);
 ``inv``, ``parse`` and ``format`` complete the arithmetic.  No value is
 boxed: the algebra, map, solver and elimination layers all work on raw
-values directly.
+values directly.  A rational literal's decimal exponent is at most
+``MAX_EXPONENT`` = 1000 in absolute value: ``parse`` refuses a larger one
+before ``Fraction`` would expand it.  ``is_field`` decides primality by
+Miller-Rabin, exactly below ``PRIME_TEST_BOUND`` (about 3.317e24), and
+refuses a larger modulus.
 
 Parsing is memoised per document.  A table or matrix repeats a few
 distinct vectors many times (a tn8 table holds 1,296 cells, 37 of them
@@ -59,16 +63,37 @@ class CompositeModulusUnsupported(ValueError):
     """An elimination-style operation needs a field: Q or a prime modulus."""
 
 
+# Miller-Rabin on the prime bases 2 to 41 decides primality exactly below
+# this bound, the least strong pseudoprime to all of them; bases 2 to 37
+# alone pass the composite 318665857834031151167461.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_TEST_BOUND,
+    where it could call a composite prime."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"moduli below {PRIME_TEST_BOUND} are supported")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -103,7 +128,8 @@ class RingSpec:
         return self.m % 2 == 1
 
     def is_field(self) -> bool:
-        """True for Q and for Z/pZ with p prime."""
+        """True for Q and for Z/pZ with p prime.  A modulus at or above
+        ``PRIME_TEST_BOUND`` raises ValueError instead of a guess."""
         if self.kind == "Q":
             return True
         return _is_prime(self.m)
@@ -203,6 +229,12 @@ class RingSpec:
         if not isinstance(text, str):
             raise ValueError(f"expected a string, got {text!r}")
         if self.m is None:
+            exponent = _EXPONENT_RE.search(text)
+            if exponent:
+                digits = exponent[1].replace("_", "").lstrip("0")
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                    raise ValueError(f"bad rational literal {text!r}: "
+                                     f"exponent above {MAX_EXPONENT}")
             try:
                 return self.coerce(Fraction(text.strip()))
             except (ValueError, ZeroDivisionError) as exc:
@@ -290,4 +322,8 @@ class _Memo(dict):
         return value
 
 
+# The largest decimal exponent, in absolute value, a rational literal may
+# carry: Fraction("1e999999999") would build 10**999999999 first.
+MAX_EXPONENT = 1000
+_EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
 _ZMOD_RE = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?$")

@@ -375,16 +375,9 @@ class SolutionSpace:
 
 def nullspace(system: LinearSystem) -> SolutionSpace:
     """Exact solution space with a canonical reduced-echelon basis."""
-    ring = system.alg.ring
-    echelon, pivots = _linalg.rref(system.rows, ring)
-    ns = _linalg.nullspace(echelon, pivots, system.ncols, ring)
-    canonical_rows, _ = _linalg.rref(ns, ring)
-    return SolutionSpace(
-        alg=system.alg,
-        kind=system.kind,
-        constraints=system.constraints,
-        canonical=tuple(canonical_rows),
-    )
+    canonical, _ = _linalg.kernel(system.rows, system.ncols, system.alg.ring)
+    return SolutionSpace(alg=system.alg, kind=system.kind,
+                         constraints=system.constraints, canonical=tuple(canonical))
 
 
 def solve(alg, kind, constraints=None) -> SolutionSpace:
@@ -417,14 +410,15 @@ def verify_space(space: SolutionSpace) -> bool:
     1. substitution: every basis triple passes the identity checker and
        the extra constraints, and its canonical row, the flattened triple,
        kills every row of a freshly rebuilt system;
-    2. rank-nullity: dim equals 3d^2 minus the rank of that system;
-    3. stability: re-eliminating under a seeded random row and column
-       permutation, un-permuting that nullspace and re-canonicalising it
+    2. rank-nullity: dim equals 3d^2 minus the rank of that system, which
+       ``_linalg.kernel`` eliminates once, under a seeded random row and
+       column permutation;
+    3. stability: un-permuting that kernel and re-canonicalising it
        reproduces ``canonical`` exactly.
 
-    Certificates 2 and 3 re-run ``_linalg.rref``, so they share code with
-    the solver.  None proves that the compiled rows state the identity;
-    ``tests/test_check_paths.py`` pins that.
+    Certificates 2 and 3 share ``_linalg`` with the solver.  None proves
+    that the compiled rows state the identity; ``tests/test_check_paths.py``
+    pins that.
     """
     system = build_system(space.alg, space.kind, space.constraints)
     for row, t in zip(space.canonical, space.basis):
@@ -434,21 +428,18 @@ def verify_space(space: SolutionSpace) -> bool:
             return False
         if not system._kills(row):
             return False
-    ring = space.alg.ring
-    echelon, _ = _linalg.rref(system.rows, ring)
-    if space.rank != len(echelon):
-        return False
     rng = random.Random(_PERMUTATION_SEED)
     cols = list(range(system.ncols))
     rng.shuffle(cols)
     remap = {old: new for new, old in enumerate(cols)}
     permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows]
     rng.shuffle(permuted)
-    echelon2, pivots2 = _linalg.rref(permuted, ring)
-    ns2 = _linalg.nullspace(echelon2, pivots2, system.ncols, ring)
-    unpermuted = [{cols[c]: v for c, v in vec.items()} for vec in ns2]
-    canonical2, _ = _linalg.rref(unpermuted, ring)
-    return tuple(canonical2) == space.canonical
+    kernel, rank = _linalg.kernel(permuted, system.ncols, space.alg.ring)
+    if space.rank != rank:
+        return False
+    unpermuted = [{cols[c]: v for c, v in vec.items()} for vec in kernel]
+    canonical, _ = _linalg.rref(unpermuted, space.alg.ring)
+    return tuple(canonical) == space.canonical
 
 
 def _require_comparable(s1: SolutionSpace, s2: SolutionSpace) -> None:
@@ -465,20 +456,20 @@ def space_equal(s1: SolutionSpace, s2: SolutionSpace) -> bool:
 
 
 def space_contains(s1: SolutionSpace, s2: SolutionSpace) -> bool:
-    """True iff every generator of s2 eliminates to zero against s1."""
+    """True iff adding the rows of s2 leaves the reduced form of s1 as it is."""
     _require_comparable(s1, s2)
-    return not any(
-        _linalg.residual(row, s1.canonical, s1.alg.ring) for row in s2.canonical
-    )
+    echelon, _ = _linalg.rref(s1.canonical + s2.canonical, s1.alg.ring)
+    return tuple(echelon) == s1.canonical
 
 
 def space_member(space: SolutionSpace, t: MapTriple) -> bool:
-    """True iff the triple lies in the space (exact reduction to zero)."""
+    """True iff adding the triple's row leaves the space's reduced form as it is."""
     if t.alg.ring != space.alg.ring:
         raise RingMismatch("triple and space live over different rings")
     if t.alg.dim != space.alg.dim:
         raise ValueError("triple and space live on algebras of different dimension")
-    return not _linalg.residual(triple_to_row(t), space.canonical, space.alg.ring)
+    echelon, _ = _linalg.rref(space.canonical + (triple_to_row(t),), space.alg.ring)
+    return tuple(echelon) == space.canonical
 
 
 def canonical_span(alg: StructureAlgebra, triples) -> tuple:

@@ -100,6 +100,13 @@ def test_solve_over_prime_modulus(capsys):
     assert doc["ring"] == {"kind": "Zmod", "m": 5}
 
 
+def test_solve_modulus_too_large_to_test_exits_1(capsys):
+    code, out, err = run(capsys, "solve", "--algebra", "ring", "--kind", "left-gh",
+                         "--ring", f"z{2 ** 89 - 1}")
+    assert (code, out) == (1, "")
+    assert "cannot decide" in err and "Traceback" not in err
+
+
 def test_solve_composite_modulus_exits_2(capsys):
     code, out, err = run(capsys, "solve", "--algebra", "tn", "--n", "2",
                          "--kind", "left-gh", "--ring", "z4")
@@ -215,6 +222,16 @@ def test_check_refuses_a_document_nested_too_deeply(capsys, tmp_path, flag):
     assert (code, out) == (1, "")
     assert err == f"error: {path} is nested too deeply to parse\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+def test_check_refuses_a_huge_exponent(capsys, tmp_path, literal):
+    # Parsing it used to build 10**999999999 and run for minutes.
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"matrix": [[literal]], "algebra": "ring"}))
+    code, out, err = run(capsys, "check", "--kind", "left-gh", "--map", str(path))
+    assert (code, out) == (1, "")
+    assert "bad rational literal" in err and "Traceback" not in err
 
 
 def test_check_refuses_vectors_that_are_not_arrays_of_dim_values(capsys, tmp_path):

@@ -3,6 +3,7 @@
 ``_linalg.rref`` reduces rows forward and back-substitutes once at the end.
 The reduced echelon form is unique, so a plain dense Gauss-Jordan written
 here must give the same matrix on any input, over Q and over Z/p.
+``_linalg.kernel`` is pinned the same way, to a dense nullspace.
 """
 
 import copy
@@ -93,9 +94,10 @@ def _assert_rref_matches_dense_gauss_jordan(system, rnd):
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert _linalg.rref(shuffled, ring) == (echelon, pivots)
-    # Every input row lies in the span of the echelon.
+    # Every input row lies in the span of the echelon: adding it leaves the
+    # echelon unchanged.
     for row in rows:
-        assert _linalg.residual(row, echelon, ring) == {}
+        assert _linalg.rref(echelon + [row], ring)[0] == echelon
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,10 +133,11 @@ def dense_nullspace(rows, ncols, ring):
 @given(sparse_system())
 def test_nullspace_matches_dense_reference(system):
     ring, ncols, rows = system
-    echelon, pivots = _linalg.rref(rows, ring)
-    basis = _linalg.nullspace(echelon, pivots, ncols, ring)
-    assert basis == dense_nullspace(rows, ncols, ring)
-    assert len(basis) == ncols - len(echelon)
+    basis, rank = _linalg.kernel(rows, ncols, ring)
+    reference = dense_gauss_jordan(dense_nullspace(rows, ncols, ring), ncols, ring)
+    assert [[vec.get(c, 0) for c in range(ncols)] for vec in basis] == reference
+    assert rank == len(dense_gauss_jordan(rows, ncols, ring))
+    assert len(basis) == ncols - rank
     for vec in basis:
         for row in rows:
             assert not ring.reduce(sum(v * vec.get(c, 0) for c, v in row.items()))

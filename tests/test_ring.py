@@ -22,14 +22,18 @@ from ghderiv.algebra import (
 )
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple, map_from_doc, triple_from_doc
+from ghderiv import ring as ring_mod
 from ghderiv.ring import (
+    MAX_EXPONENT,
+    PRIME_TEST_BOUND,
     QQ,
     NotAUnit,
     RingMismatch,
     RingSpec,
     Zmod,
+    _is_prime,
 )
-from ghderiv.solver import canonical_span, solve, space_equal
+from ghderiv.solver import canonical_span, solve, space_equal, verify_space
 
 
 def test_q_basics():
@@ -79,6 +83,31 @@ def test_parse_round_trip_q():
         QQ.parse("x")
 
 
+def test_decimal_literals_parse_exactly():
+    assert QQ.parse("0.1") == Fraction(1, 10)
+    assert QQ.parse("1e3") == 1000 and type(QQ.parse("1e3")) is int
+    assert QQ.parse("2.5e-3") == Fraction(1, 400)
+    assert QQ.parse(f"1E+{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+    assert QQ.parse(f"1e-{MAX_EXPONENT}") == Fraction(1, 10 ** MAX_EXPONENT)
+
+
+@pytest.mark.parametrize("text", [
+    "1e999999999", "1e-999999999", f"1E+{MAX_EXPONENT + 1}", "1e1_000_000",
+    " 2.5e00009999 ", "1e" + "9" * 5000,
+])
+def test_huge_exponent_is_refused_before_fraction(monkeypatch, text):
+    # Fraction(text) would build 10**exponent; it must never be reached.
+    class Unreachable(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                raise AssertionError(f"Fraction({numerator[:20]!r}) reached")
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(ring_mod, "Fraction", Unreachable)
+    with pytest.raises(ValueError, match=f"bad rational literal.*exponent above {MAX_EXPONENT}"):
+        QQ.parse(text)
+
+
 def test_parse_round_trip_zmod():
     z7 = Zmod(7)
     assert z7.parse("3 mod 7") == 3
@@ -116,6 +145,36 @@ def test_is_field():
     assert not Zmod(6).is_field()
     with pytest.raises(ValueError):
         Zmod(1)  # modulus below 2 is rejected outright
+
+
+def test_is_prime_matches_trial_division():
+    small = [p for p in range(2, 317) if all(p % q for q in range(2, p))]
+    for n in range(10 ** 5):
+        want = n >= 2 and all(n % p for p in small if p * p <= n)
+        assert _is_prime(n) == want, n
+
+
+def test_is_prime_on_pseudoprimes_and_large_moduli():
+    # A strong pseudoprime to the bases 2, 3, 5 and 7, and Carmichael numbers
+    # (that pseudoprime is one too).
+    for n in (3215031751, 561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+              825265, 321197185, 9746347772161):
+        assert not _is_prime(n), n
+    # The least strong pseudoprime to every prime base from 2 to 37; base 41
+    # catches it.
+    assert not _is_prime(399165290221 * 798330580441)
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 13 - 1, 1000000007):
+        assert _is_prime(p), p
+    # At or above the bound the answer would be a guess: refuse, even for a
+    # prime such as 2^89 - 1.
+    for m in (PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="cannot decide"):
+            Zmod(m).is_field()
+
+
+def test_solving_over_a_large_prime_modulus():
+    sp = solve(upper_triangular(2, ring=Zmod(2 ** 61 - 1)), IdentityKind.JORDAN_LEFT_GH)
+    assert sp.dim == 5 and verify_space(sp)
 
 
 qq_values = st.fractions(max_denominator=50).map(QQ.coerce)

@@ -31,6 +31,7 @@ from ghderiv.linmap import (
 from ghderiv.identities import IdentityKind, check
 from ghderiv.solver import (
     Constraints,
+    SolutionSpace,
     build_system,
     canonical_span,
     gh_collapse,
@@ -44,6 +45,7 @@ from ghderiv.solver import (
     triple_to_row,
     verify_space,
 )
+from test_linalg import dense_gauss_jordan
 
 JLGH = IdentityKind.JORDAN_LEFT_GH
 LGH = IdentityKind.LEFT_GH
@@ -158,6 +160,9 @@ def test_verify_space_rejects_tampering(solved):
     # A wrong dimension must trip rank-nullity.
     assert not verify_space(dataclasses.replace(
         sp, canonical=sp.canonical + (sp.canonical[0],)))
+    # A space that lacks one solution passes substitution; rank-nullity
+    # must reject it.
+    assert not verify_space(dataclasses.replace(sp, canonical=sp.canonical[:-1]))
 
 
 def test_solution_basis_passes_checker(solved):
@@ -290,6 +295,53 @@ def test_space_membership(solved):
     t2 = sp.alg
     assert not space_member(sp, MapTriple(*[LinMap.identity(t2)] * 3))
     assert space_member(sp, MapTriple.zero(t2))
+
+
+@st.composite
+def spans_and_triple(draw):
+    """Generator rows of two spaces of tn2 triples over Q or Z/5, and the row
+    of one triple.  The second space and the triple combine the first
+    space's generators, some of them plus a stray row, so containment and
+    membership go both ways."""
+    ring = draw(st.sampled_from([QQ, Zmod(5)]))
+    alg = upper_triangular(2, ring=ring)
+    ncols = 3 * alg.dim ** 2
+    if ring.m is None:
+        values = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    else:
+        values = st.integers(1, 4)
+    row = st.dictionaries(st.integers(0, ncols - 1),
+                          values.filter(bool).map(ring.coerce), max_size=4)
+    gens = draw(st.lists(row, max_size=4))
+
+    def combined():
+        acc = draw(row) if draw(st.booleans()) else {}
+        for gen in gens:
+            k = draw(st.integers(-2, 2))
+            for c, v in gen.items():
+                acc[c] = acc.get(c, 0) + k * v
+        return {c: r for c, v in acc.items() if (r := ring.reduce(v))}
+
+    others = [combined() for _ in range(draw(st.integers(0, 3)))]
+    return alg, gens, others, combined()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_triple())
+def test_space_predicates_match_dense_rank(case):
+    alg, gens, others, trow = case
+    ncols = 3 * alg.dim ** 2
+
+    def rank(rows):
+        return len(dense_gauss_jordan(rows, ncols, alg.ring))
+
+    def space(rows):
+        canonical = canonical_span(alg, [row_to_triple(alg, r) for r in rows])
+        return SolutionSpace(alg, JLGH, Constraints(), canonical)
+
+    s1, s2 = space(gens), space(others)
+    assert space_contains(s1, s2) == (rank(gens + others) == rank(gens))
+    assert space_member(s1, row_to_triple(alg, trow)) == (rank(gens + [trow]) == rank(gens))
 
 
 def test_space_membership_mismatches(solved):
