@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ring import QQ, RingMismatch, RingSpec, array
+from .ring import MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, array
 from . import _linalg
 
 __all__ = [
@@ -148,7 +148,7 @@ class StructureAlgebra:
         return AlgElement(self, tuple(map(self.ring.coerce, array(coords, self.dim, error))))
 
     def basis_element(self, i: int) -> "AlgElement":
-        return AlgElement(self, tuple(int(k == i) for k in range(self.dim)))
+        return AlgElement(self, (0,) * i + (1,) + (0,) * (self.dim - i - 1))
 
     def zero(self) -> "AlgElement":
         return AlgElement(self, (0,) * self.dim)
@@ -503,11 +503,11 @@ def algebra_to_doc(alg: StructureAlgebra) -> dict:
     }
 
 
-def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
+def algebra_from_doc(doc: dict) -> StructureAlgebra:
     """Rebuild an algebra from its JSON document.
 
-    With ``strict`` the table is validated (associativity, unity) and a
-    ValueError is raised for corrupt input.
+    The table is validated (associativity, unity): corrupt input raises
+    ValueError.
     """
     try:
         ring = RingSpec.from_doc(doc["ring"])
@@ -529,11 +529,24 @@ def algebra_from_doc(doc: dict, strict: bool = True) -> StructureAlgebra:
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"bad algebra document: {exc}") from None
     alg = StructureAlgebra(ring=ring, dim=dim, labels=labels, sc=sc, unity=unity)
-    if strict:
-        rep = validate(alg)
-        if not rep.ok:
-            raise ValueError(f"algebra document fails validation: {rep}")
+    rep = validate(alg)
+    if not rep.ok:
+        raise ValueError(f"algebra document fails validation: {rep}")
     return alg
+
+
+class _BadSpec(ValueError):
+    """What is wrong with a spec string; ``from_spec`` names the whole spec."""
+
+
+def _whole(text: str, what: str) -> int:
+    """A size or degree in a spec: decimal digits, at most MAX_DIGITS of them."""
+    t = text.strip()
+    if not t.isdecimal():
+        raise _BadSpec(f"the {what} {_shown(t)} is not a whole number")
+    if len(t) > MAX_DIGITS:
+        raise _BadSpec(f"the {what} has more than {MAX_DIGITS} digits")
+    return int(t)
 
 
 def _parse_spec(text: str, ring: RingSpec):
@@ -542,8 +555,8 @@ def _parse_spec(text: str, ring: RingSpec):
         inner = t[5:-1]
         base_text, _, deg = inner.rpartition(",")
         if not base_text:
-            raise ValueError(f"poly(...) needs a base algebra and a degree: {text!r}")
-        return truncated_poly(_parse_spec(base_text, ring), int(deg))
+            raise _BadSpec("poly(SPEC,D) needs a base algebra and a degree")
+        return truncated_poly(_parse_spec(base_text, ring), _whole(deg, "degree"))
     if t.startswith("tensor(") and t.endswith(")"):
         inner = t[7:-1]
         depth = 0
@@ -557,19 +570,21 @@ def _parse_spec(text: str, ring: RingSpec):
                 return tensor_product(
                     _parse_spec(left, ring), _parse_spec(right, ring)
                 )
-        raise ValueError(f"tensor(...) needs two algebras: {text!r}")
+        raise _BadSpec("tensor(SPEC,SPEC) needs two algebras")
     if ":" in t:
         # Colon shorthand for non-nested forms: poly:BASE:D, tensor:A:B.
         head, _, rest = t.partition(":")
         if head == "poly":
             base_text, _, deg = rest.rpartition(":")
-            return truncated_poly(_parse_spec(base_text, ring), int(deg))
+            if not base_text:
+                raise _BadSpec("poly:BASE:D needs a base algebra and a degree")
+            return truncated_poly(_parse_spec(base_text, ring), _whole(deg, "degree"))
         if head == "tensor":
             left, _, right = rest.partition(":")
             if not right or ":" in right:
-                raise ValueError(f"tensor:A:B takes exactly two plain names: {text!r}")
+                raise _BadSpec("tensor:A:B takes exactly two plain names")
             return tensor_product(_parse_spec(left, ring), _parse_spec(right, ring))
-        raise ValueError(f"unknown algebra spec: {text!r}")
+        raise _BadSpec(f"unknown form {_shown(head + ':')}")
     if t == "quat":
         # Silently handing back the rational quaternions for another ring
         # would mislabel every downstream result; refuse instead.
@@ -578,11 +593,11 @@ def _parse_spec(text: str, ring: RingSpec):
         return quaternions()
     if t == "ring":
         return ring_as_algebra(ring)
-    if t.startswith("tn") and t[2:].isdigit():
-        return upper_triangular(int(t[2:]), ring)
-    if t.startswith("mn") and t[2:].isdigit():
-        return full_matrix(int(t[2:]), ring)
-    raise ValueError(f"unknown algebra spec: {text!r}")
+    if t.startswith("tn") and t[2:].isdecimal():
+        return upper_triangular(_whole(t[2:], "size"), ring)
+    if t.startswith("mn") and t[2:].isdecimal():
+        return full_matrix(_whole(t[2:], "size"), ring)
+    raise _BadSpec(f"unknown algebra {_shown(t)}")
 
 
 def from_spec(text: str, ring: RingSpec = QQ) -> StructureAlgebra:
@@ -596,7 +611,9 @@ def from_spec(text: str, ring: RingSpec = QQ) -> StructureAlgebra:
     """
     try:
         return _parse_spec(text, ring)
+    except _BadSpec as exc:
+        raise ValueError(f"bad algebra spec {_shown(text)}: {exc}") from None
     except ValueError:
         raise
     except Exception as exc:
-        raise ValueError(f"bad algebra spec {text!r}: {exc}") from None
+        raise ValueError(f"bad algebra spec {_shown(text)}: {exc}") from None

@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import AlgebraMismatch, AlgElement
-from .linmap import LinMap, MapTriple, left_mul_map
+from .linmap import LinMap, MapTriple, left_mul_map, right_mul_map
 
 __all__ = [
     "IdentityKind",
@@ -348,15 +348,6 @@ class LeftGHDecomposition:
         }
 
 
-def _is_central(x: AlgElement) -> bool:
-    alg = x.alg
-    for i in range(alg.dim):
-        e = alg.basis_element(i).coords
-        if alg.mul_vec_vec(x.coords, e) != alg.mul_vec_vec(e, x.coords):
-            return False
-    return True
-
-
 def decompose_left_gh(t: MapTriple) -> LeftGHDecomposition:
     """Split a one-sided solution around the unity: lam = g(1) + h(1).
 
@@ -369,10 +360,11 @@ def decompose_left_gh(t: MapTriple) -> LeftGHDecomposition:
         raise PreconditionFailed("triple does not satisfy the one-sided identity")
     one = t.alg.one()
     lam = t.g(one) + t.h(one)
-    d = t.f - left_mul_map(lam)
+    l_lam = left_mul_map(lam)
+    d = t.f - l_lam
     return LeftGHDecomposition(
         lam=lam,
-        lam_central=_is_central(lam),
+        lam_central=l_lam == right_mul_map(lam),
         d=d,
         d_is_left_derivation=is_left_derivation(d).holds,
     )

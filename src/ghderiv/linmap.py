@@ -2,12 +2,15 @@
 
 A map is stored as a dense d x d matrix of raw ring values (see
 ``ring``), ``mat[i][j]``; column j holds the coordinates of the image of
-basis vector e_j.  Triples (f, g,
-h) bundle the three maps appearing in the two-sided and one-sided product
-identities.
+basis vector e_j.  Triples (f, g, h) bundle the three maps appearing in
+the two-sided and one-sided product identities.
 
-The ``*_family`` constructors build the closed-form solution families for
-the triangular, full matrix and quaternion algebras; ``poly_lift`` and
+The ``*_family`` constructors build the paper's closed-form solution
+families for the triangular, full matrix and quaternion algebras, each as
+right multiplications R_x: y -> y * x (``right_mul_map``): the T_n
+families are (R_G + R_H, R_G, R_H) and the others (2 R_alpha, R_alpha,
+R_alpha).  Documents always carry their algebra, inline or as a spec
+string, and a loaded algebra is always validated.  ``poly_lift`` and
 ``tensor_extend`` transport maps into truncated polynomial and tensor
 product algebras, and ``tensor_coordinates`` undoes the latter.
 """
@@ -22,7 +25,6 @@ from .algebra import (
     AlgElement,
     StructureAlgebra,
     tensor_product,
-    triangle_positions,
     truncated_poly,
     upper_triangular,
     algebra_from_doc,
@@ -195,21 +197,21 @@ class MapTriple:
 
 
 def right_mul_map(alpha: AlgElement) -> LinMap:
-    """The operator x -> x * alpha."""
+    """The operator R_alpha: x -> x * alpha."""
     alg = alpha.alg
-    return LinMap.from_columns(
-        alg, [alg.mul_vec_vec(alg.basis_element(j).coords, alpha.coords)
-              for j in range(alg.dim)]
-    )
+    return LinMap(alg, tuple(zip(*(
+        alg.mul_vec_vec(alg.basis_element(j).coords, alpha.coords)
+        for j in range(alg.dim)
+    ))))
 
 
 def left_mul_map(alpha: AlgElement) -> LinMap:
-    """The operator x -> alpha * x."""
+    """The operator L_alpha: x -> alpha * x."""
     alg = alpha.alg
-    return LinMap.from_columns(
-        alg, [alg.mul_vec_vec(alpha.coords, alg.basis_element(j).coords)
-              for j in range(alg.dim)]
-    )
+    return LinMap(alg, tuple(zip(*(
+        alg.mul_vec_vec(alpha.coords, alg.basis_element(j).coords)
+        for j in range(alg.dim)
+    ))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +219,16 @@ def left_mul_map(alpha: AlgElement) -> LinMap:
 # ---------------------------------------------------------------------------
 
 
-def _tn(n: int, ring: RingSpec, alg: StructureAlgebra | None) -> StructureAlgebra:
-    """``alg``, the caller's upper_triangular(n, ...), or a new one over ``ring``."""
+def _tn(n: int, alg: StructureAlgebra | None) -> StructureAlgebra:
+    """``alg``, the caller's upper_triangular(n, ...), or a new one over Q."""
     if alg is None:
-        return upper_triangular(n, ring)
+        return upper_triangular(n)
     if alg.dim != n * (n + 1) // 2:
         raise ValueError(f"an algebra of dimension {alg.dim} is not T{n}")
     return alg
 
 
-def _params(alg: StructureAlgebra, values, n: int, name: str) -> list:
+def _params(alg: StructureAlgebra, values, n: int, name: str) -> tuple:
     """The ``name`` parameters, coerced; BadParameterCount unless ``values``
     is a list or tuple of ``n`` of them.  A string is not a list."""
     error = f"need an array of {n} {name} parameters"
@@ -234,77 +236,41 @@ def _params(alg: StructureAlgebra, values, n: int, name: str) -> list:
         array(values, n, error)
     except ValueError:
         raise BadParameterCount(error) from None
-    return [alg.ring.coerce(x) for x in values]
+    return tuple(map(alg.ring.coerce, values))
 
 
-def tn_jordan_family(n, gparams, hparams, ring: RingSpec = QQ,
+def tn_jordan_family(n, gparams, hparams,
                      alg: StructureAlgebra | None = None) -> MapTriple:
-    """Two-sided-identity solution family over the upper triangular algebra.
+    """Two-sided-identity solution family over the upper triangular algebra:
+    (R_G + R_H, R_G, R_H).
 
-    ``gparams`` holds the n(n+1)/2 coefficients indexed by the row-major
-    upper-triangle positions (k, j), k <= j; ``hparams`` the n first-row
-    coefficients.  The triple is assembled column by column from the
-    closed forms
-
-        g(e_ab) = sum_{j >= b} g[(b, j)] e_aj
-        h(e_ab) = g(e_ab)             for (a, b) != (1, 1)
-        h(e_11) = sum_j h[j] e_1j
-        f = g + h
-
-    which is the same thing as right multiplication by the matrices
-    collecting the parameters.  Pass ``alg``, upper_triangular(n, ring),
-    to build the maps on an algebra already at hand.
+    ``gparams`` holds the n(n+1)/2 coordinates of G, indexed like the basis
+    by the row-major upper-triangle positions (k, j), k <= j; H is G with
+    its first row, the first n coordinates, replaced by the n ``hparams``.
+    Pass ``alg``, upper_triangular(n, ring), to build the maps on an algebra
+    already at hand; the default is T_n over Q.
     """
-    alg = _tn(n, ring, alg)
-    positions = triangle_positions(n)
-    pos_index = {p: k for k, p in enumerate(positions)}
-    gp = _params(alg, gparams, len(positions), "g")
+    alg = _tn(n, alg)
+    gp = _params(alg, gparams, alg.dim, "g")
     hp = _params(alg, hparams, n, "h")
-
-    def g_column(a, b):
-        col = [0] * alg.dim
-        for j in range(b, n):
-            col[pos_index[(a, j)]] = gp[pos_index[(b, j)]]
-        return col
-
-    gcols, hcols = [], []
-    for (a, b) in positions:
-        gcols.append(g_column(a, b))
-        if (a, b) == (0, 0):
-            col = [0] * alg.dim
-            for j in range(n):
-                col[pos_index[(0, j)]] = hp[j]
-            hcols.append(col)
-        else:
-            hcols.append(g_column(a, b))
-    g = LinMap.from_columns(alg, gcols)
-    h = LinMap.from_columns(alg, hcols)
+    g = right_mul_map(AlgElement(alg, gp))
+    h = right_mul_map(AlgElement(alg, hp + gp[n:]))
     return MapTriple(g + h, g, h)
 
 
-def tn_left_family(n, gparams, hparams, ring: RingSpec = QQ,
+def tn_left_family(n, gparams, hparams,
                    alg: StructureAlgebra | None = None) -> MapTriple:
-    """One-sided-identity solution family over the upper triangular algebra.
+    """One-sided-identity solution family over the upper triangular algebra:
+    (R_G + R_H, R_G, R_H), with the n ``gparams`` and the n ``hparams`` as
+    the first rows of G and H and zeros elsewhere.
 
-    Both maps kill every basis vector except e_11, which they send into the
-    first row with the given n coefficients; f = g + h.  ``alg`` is as in
+    Both maps kill every basis vector except e_11.  ``alg`` is as in
     ``tn_jordan_family``.
     """
-    alg = _tn(n, ring, alg)
-    positions = triangle_positions(n)
-    pos_index = {p: k for k, p in enumerate(positions)}
-    gp = _params(alg, gparams, n, "g")
-    hp = _params(alg, hparams, n, "h")
-
-    def column(params, a, b):
-        col = [0] * alg.dim
-        if (a, b) == (0, 0):
-            for j in range(n):
-                col[pos_index[(0, j)]] = params[j]
-        return col
-
-    g = LinMap.from_columns(alg, [column(gp, a, b) for (a, b) in positions])
-    h = LinMap.from_columns(alg, [column(hp, a, b) for (a, b) in positions])
+    alg = _tn(n, alg)
+    rest = (0,) * (alg.dim - n)
+    g = right_mul_map(AlgElement(alg, _params(alg, gparams, n, "g") + rest))
+    h = right_mul_map(AlgElement(alg, _params(alg, hparams, n, "h") + rest))
     return MapTriple(g + h, g, h)
 
 
@@ -424,14 +390,13 @@ def _matrix_doc(f: LinMap) -> list:
     return [[fmt(c) for c in row] for row in f.mat]
 
 
-def map_to_doc(f: LinMap, inline_algebra: bool = True) -> dict:
-    doc = {"matrix": _matrix_doc(f)}
-    if inline_algebra:
-        doc["algebra"] = algebra_to_doc(f.alg)
-    return doc
+def map_to_doc(f: LinMap) -> dict:
+    return {"matrix": _matrix_doc(f), "algebra": algebra_to_doc(f.alg)}
 
 
 def _algebra_from_ref(ref, ring: RingSpec | None) -> StructureAlgebra:
+    """The algebra a document names: a spec string, built over ``ring``
+    (Q by default), or an inline algebra document."""
     if isinstance(ref, str):
         return from_spec(ref, ring if ring is not None else QQ)
     if isinstance(ref, dict):
@@ -439,24 +404,15 @@ def _algebra_from_ref(ref, ring: RingSpec | None) -> StructureAlgebra:
     raise ValueError(f"bad algebra reference: {ref!r}")
 
 
-def map_from_doc(doc: dict, ring: RingSpec | None = None,
-                 alg: StructureAlgebra | None = None) -> LinMap:
-    if alg is None:
-        alg = _algebra_from_ref(doc.get("algebra"), ring)
-    return LinMap.from_rows(alg, doc["matrix"])
+def map_from_doc(doc: dict, ring: RingSpec | None = None) -> LinMap:
+    return LinMap.from_rows(_algebra_from_ref(doc.get("algebra"), ring), doc["matrix"])
 
 
-def triple_to_doc(t: MapTriple, inline_algebra: bool = True) -> dict:
-    doc = {"f": _matrix_doc(t.f), "g": _matrix_doc(t.g), "h": _matrix_doc(t.h)}
-    if inline_algebra:
-        doc["algebra"] = algebra_to_doc(t.alg)
-    return doc
+def triple_to_doc(t: MapTriple) -> dict:
+    return {"f": _matrix_doc(t.f), "g": _matrix_doc(t.g), "h": _matrix_doc(t.h),
+            "algebra": algebra_to_doc(t.alg)}
 
 
-def triple_from_doc(doc: dict, ring: RingSpec | None = None,
-                    alg: StructureAlgebra | None = None) -> MapTriple:
-    if alg is None:
-        alg = _algebra_from_ref(doc.get("algebra"), ring)
-    def load(key):
-        return LinMap.from_rows(alg, doc[key])
-    return MapTriple(load("f"), load("g"), load("h"))
+def triple_from_doc(doc: dict, ring: RingSpec | None = None) -> MapTriple:
+    alg = _algebra_from_ref(doc.get("algebra"), ring)
+    return MapTriple(*(LinMap.from_rows(alg, doc[key]) for key in "fgh"))

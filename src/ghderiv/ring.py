@@ -12,10 +12,13 @@ After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
 ``inv``, ``parse`` and ``format`` complete the arithmetic.  No value is
 boxed: the algebra, map, solver and elimination layers all work on raw
 values directly.  A rational literal's decimal exponent is at most
-``MAX_EXPONENT`` = 1000 in absolute value: ``parse`` refuses a larger one
-before ``Fraction`` would expand it.  ``is_field`` decides primality by
-Miller-Rabin, exactly below ``PRIME_TEST_BOUND`` (about 3.317e24), and
-refuses a larger modulus.
+``MAX_EXPONENT`` = 1000 in absolute value, and a literal carries at most
+``MAX_DIGITS`` = 2000 digits, exponent included, as does a residue or a
+modulus: ``parse`` and ``from_name`` refuse more before ``Fraction`` or
+``int`` would build the value, so every value read from text can be
+written back as text, and so can a product of two of them.  ``is_field``
+decides primality by Miller-Rabin, exactly below ``PRIME_TEST_BOUND``
+(about 3.317e24), and refuses a larger modulus.
 
 Parsing is memoised per document.  A table or matrix repeats a few
 distinct vectors many times (a tn8 table holds 1,296 cells, 37 of them
@@ -229,22 +232,32 @@ class RingSpec:
         if not isinstance(text, str):
             raise ValueError(f"expected a string, got {text!r}")
         if self.m is None:
-            exponent = _EXPONENT_RE.search(text)
-            if exponent:
-                digits = exponent[1].replace("_", "").lstrip("0")
+            mantissa, exponent = text, 0
+            match = _EXPONENT_RE.search(text)
+            if match:
+                digits = match[1].replace("_", "").lstrip("0")
                 if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-                    raise ValueError(f"bad rational literal {text!r}: "
+                    raise ValueError(f"bad rational literal {_shown(text)}: "
                                      f"exponent above {MAX_EXPONENT}")
+                mantissa, exponent = text[:match.start()], int(digits or 0)
+            if (len(mantissa) + exponent > MAX_DIGITS
+                    and sum(map(str.isdecimal, mantissa)) + exponent > MAX_DIGITS):
+                raise ValueError(f"bad rational literal {_shown(text)}: "
+                                 f"more than {MAX_DIGITS} digits")
             try:
                 return self.coerce(Fraction(text.strip()))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+                reason = exc if len(text) <= _SHOWN_CHARS else "not a rational number"
+                raise ValueError(f"bad rational literal {_shown(text)}: {reason}") from None
         m = _ZMOD_RE.fullmatch(text)
         if not m:
-            raise ValueError(f"bad residue literal {text!r}")
+            raise ValueError(f"bad residue literal {_shown(text)}")
+        if len(m[1].lstrip("-")) > MAX_DIGITS or len(m[2] or "") > MAX_DIGITS:
+            raise ValueError(f"bad residue literal {_shown(text)}: "
+                             f"more than {MAX_DIGITS} digits")
         if m.group(2) is not None and int(m.group(2)) != self.m:
             raise ValueError(
-                f"literal {text!r} names modulus {m.group(2)}, ring has {self.m}"
+                f"literal {_shown(text)} names modulus {m.group(2)}, ring has {self.m}"
             )
         return int(m.group(1)) % self.m
 
@@ -267,8 +280,11 @@ class RingSpec:
             return QQ
         m = re.fullmatch(r"z(?:mod:?)?(\d+)", t)
         if m:
+            if len(m[1]) > MAX_DIGITS:
+                raise ValueError(f"bad ring name {_shown(text)}: "
+                                 f"a modulus of more than {MAX_DIGITS} digits")
             return Zmod(int(m.group(1)))
-        raise ValueError(f"unknown ring name: {text!r}")
+        raise ValueError(f"unknown ring name: {_shown(text)}")
 
     def to_doc(self) -> dict:
         if self.kind == "Q":
@@ -325,5 +341,19 @@ class _Memo(dict):
 # The largest decimal exponent, in absolute value, a rational literal may
 # carry: Fraction("1e999999999") would build 10**999999999 first.
 MAX_EXPONENT = 1000
+# The most digits a literal or a modulus may carry, exponent included:
+# Python refuses to convert an int of more than 4,300 digits to or from
+# text, and a sum of products of two values of this many digits stays
+# under that.
+MAX_DIGITS = 2000
+# Error messages show a longer literal or name by its first 20 characters.
+_SHOWN_CHARS = 60
 _EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
 _ZMOD_RE = re.compile(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?$")
+
+
+def _shown(text: str) -> str:
+    """``repr(text)`` for an error message, shortened when it is long."""
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"

@@ -342,20 +342,28 @@ def test_from_spec_ring_threading():
     assert from_spec("mn2").ring == QQ
 
 
-def test_from_spec_rejects_garbage():
+def test_from_spec_rejects_garbage(capsys):
     for bad in ["tn", "tnx", "mn0", "poly(ring)", "tensor(ring)", "widget", ""]:
         with pytest.raises(ValueError):
             from_spec(bad)
+    # The message names the whole spec and says what is wrong with it.
+    for bad, reason in [
+        ("poly(tn2,x)", "the degree 'x' is not a whole number"),
+        ("poly:tn2", "poly:BASE:D needs a base algebra and a degree"),
+        ("poly(tn2,1.5)", "the degree '1.5' is not a whole number"),
+    ]:
+        message = f"bad algebra spec {bad!r}: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_spec(bad)
+        assert main(["solve", "--algebra", bad, "--kind", "left-gh"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_from_doc_strict_rejects_broken_table():
     doc = algebra_to_doc(upper_triangular(2))
     doc["sc"][0][1][2] = "1"  # corrupt one structure constant
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fails validation"):
         algebra_from_doc(doc)
-    # Non-strict loading defers the judgement to the caller.
-    loose = algebra_from_doc(doc, strict=False)
-    assert not validate(loose).ok
 
 
 _SHAPE = "structure constants must be a 3 x 3 x 3 array"
@@ -377,7 +385,7 @@ def test_document_arrays_must_hold_exactly_dim_values(mangle, message):
     doc = algebra_to_doc(upper_triangular(2))
     mangle(doc)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        algebra_from_doc(doc, strict=False)
+        algebra_from_doc(doc)
 
 
 def test_first_bad_literal_in_a_document_is_reported():

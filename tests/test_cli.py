@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ghderiv.cli import _dumps, main
 from ghderiv.algebra import algebra_from_doc, algebra_to_doc, from_spec, upper_triangular
 from ghderiv.linmap import (
+    LinMap,
     map_from_doc,
     map_to_doc,
     right_mul_map,
@@ -170,7 +171,7 @@ def test_check_map_document(capsys, tmp_path):
 
 def test_check_triple_by_spec_reference_and_stdin(capsys, monkeypatch):
     t = tn_jordan_family(2, [0, 1, 0], [0, 0])
-    doc = triple_to_doc(t, inline_algebra=False)
+    doc = triple_to_doc(t)
     doc["algebra"] = "tn2"
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     out = run_json(capsys, "check", "--kind", "jordan-left-gh", "--triple", "-")
@@ -485,7 +486,8 @@ def test_json_numbers_reach_the_coercer_as_they_are(capsys, tmp_path, ring, name
     t2 = upper_triangular(2, ring)
     rows = [[1, 2, 0], [0, 12345678901234567890, 0], [0, 0, -1]]
     text = [[str(v) for v in row] for row in rows]
-    assert map_from_doc({"matrix": rows}, alg=t2) == map_from_doc({"matrix": text}, alg=t2)
+    loaded = [map_from_doc({"matrix": m, "algebra": "tn2"}, ring) for m in (rows, text)]
+    assert loaded[0] == loaded[1] == LinMap.from_rows(t2, rows)
     alg_doc = algebra_to_doc(t2)
     int_doc = {**alg_doc, "unity": [int(v.split()[0]) for v in alg_doc["unity"]],
                "sc": [[[int(v.split()[0]) for v in cell] for cell in row]

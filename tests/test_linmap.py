@@ -1,19 +1,22 @@
 """Linear maps, triples, the closed-form solution families, and transport.
 
-The parametric families are frozen against matrices computed by hand, and
-each family is cross-checked against its second construction route (right
-multiplication by the matrix collecting the parameters).  Transport maps
-(polynomial lift, tensor extension) are checked columnwise.
+The parametric families are frozen against matrices computed by hand.  The
+T_n families are built as right multiplications, so they are also pinned
+to a second route that shares no code with that: the paper's closed forms,
+written per basis vector.  L_x == R_x, which decides whether x is central,
+is pinned to x e_i == e_i x for every i.  Transport maps (polynomial lift,
+tensor extension) are checked columnwise.
 """
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ghderiv.ring import QQ, Zmod
 from ghderiv.algebra import (
     AlgebraMismatch,
+    from_spec,
     full_matrix,
     quaternions,
     ring_as_algebra,
@@ -84,6 +87,20 @@ def test_mul_maps():
     assert right_mul_map(x) == left_mul_map(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["tn3", "mn2", "quat", "poly(ring,1)"]), st.booleans(), st.data())
+def test_left_equals_right_multiplication_iff_central(spec, scalar, data):
+    alg = from_spec(spec)
+    if scalar:  # a multiple of 1: central in every algebra
+        x = alg.one().scale(data.draw(st.integers(-3, 3)))
+    else:
+        x = alg.element(data.draw(st.lists(st.integers(-2, 2), min_size=alg.dim,
+                                           max_size=alg.dim)))
+    commutes = all(x * e == e * x for e in map(alg.basis_element, range(alg.dim)))
+    assert (left_mul_map(x) == right_mul_map(x)) == commutes
+    assert commutes or not scalar
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -112,6 +129,57 @@ def test_tn_jordan_family_is_right_multiplication():
         assert t.f == t.g + t.h
 
 
+def _closed_form_jordan(alg, n, gp, hp):
+    """(f, g, h) from the paper's formulas, basis vector by basis vector:
+    g(e_ab) = sum_{j >= b} g[(b, j)] e_aj, h = g except h(e_11) = sum_j h[j] e_1j,
+    and f = g + h."""
+    pos = triangle_positions(n)
+    index = {p: k for k, p in enumerate(pos)}
+    gcols = []
+    for a, b in pos:
+        col = [0] * len(pos)
+        for j in range(b, n):
+            col[index[(a, j)]] = gp[index[(b, j)]]
+        gcols.append(col)
+    first = [0] * len(pos)
+    for j in range(n):
+        first[index[(0, j)]] = hp[j]
+    hcols = [first] + gcols[1:]
+    fcols = [[x + y for x, y in zip(gc, hc)] for gc, hc in zip(gcols, hcols)]
+    return MapTriple(*(LinMap.from_columns(alg, cols) for cols in (fcols, gcols, hcols)))
+
+
+def _closed_form_left(alg, n, gp, hp):
+    """(f, g, h) with g(e_11) = sum_j g[j] e_1j, h(e_11) = sum_j h[j] e_1j,
+    both zero on every other basis vector, and f = g + h."""
+    pos = triangle_positions(n)
+    index = {p: k for k, p in enumerate(pos)}
+
+    def single_column(params):
+        cols = [[0] * len(pos) for _ in pos]
+        for j in range(n):
+            cols[0][index[(0, j)]] = params[j]
+        return LinMap.from_columns(alg, cols)
+
+    g, h = single_column(gp), single_column(hp)
+    return MapTriple(single_column([x + y for x, y in zip(gp, hp)]), g, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([QQ, Zmod(5)]), st.data())
+def test_tn_families_match_the_closed_forms(n, ring, data):
+    if ring == QQ:
+        scalar = st.fractions(-9, 9, max_denominator=6)
+    else:
+        scalar = st.integers(-9, 9)
+    d = n * (n + 1) // 2
+    gp = data.draw(st.lists(scalar, min_size=d, max_size=d))
+    hp = data.draw(st.lists(scalar, min_size=n, max_size=n))
+    alg = upper_triangular(n, ring)
+    assert tn_jordan_family(n, gp, hp, alg=alg) == _closed_form_jordan(alg, n, gp, hp)
+    assert tn_left_family(n, gp[:n], hp, alg=alg) == _closed_form_left(alg, n, gp[:n], hp)
+
+
 def test_tn_left_family_frozen_matrix():
     t = tn_left_family(2, [1, 0], [0, 1])
     t2 = t.alg
@@ -129,7 +197,7 @@ def test_tn_families_build_on_the_callers_algebra():
     for family, g in ((tn_jordan_family, gp), (tn_left_family, hp)):
         t = family(3, g, hp, alg=t3)
         assert t.alg is t3
-        assert t == family(3, g, hp, ring=Zmod(5))
+        assert t == family(3, g, hp, alg=upper_triangular(3, Zmod(5)))
         with pytest.raises(ValueError, match="dimension 3 is not T3"):
             family(3, g, hp, alg=upper_triangular(2))
 
@@ -181,7 +249,7 @@ def test_quat_jordan_family_columns():
 
 
 def test_families_over_z5():
-    t = tn_jordan_family(2, [1, 2, 3], [4, 5], ring=Zmod(5))
+    t = tn_jordan_family(2, [1, 2, 3], [4, 5], alg=upper_triangular(2, Zmod(5)))
     assert t.alg.ring == Zmod(5)
     assert t.f.mat[0][0] == 0  # 5 reduces away
 
@@ -255,7 +323,7 @@ def test_map_doc_round_trip():
 
 def test_triple_doc_round_trip_with_spec_reference():
     t = tn_jordan_family(3, [1, 2, 3, 4, 5, 6], [7, 8, 9])
-    doc = triple_to_doc(t, inline_algebra=False)
+    doc = triple_to_doc(t)
     doc["algebra"] = "tn3"
     again = triple_from_doc(doc)
     assert again.f == t.f and again.g == t.g and again.h == t.h
@@ -278,7 +346,7 @@ def test_triple_doc_bad_shape_rejected():
 def test_map_rows_must_hold_exactly_dim_values(matrix):
     t2 = upper_triangular(2)
     with pytest.raises(ValueError, match=r"^matrix must be 3 x 3$"):
-        map_from_doc({"matrix": matrix}, alg=t2)
+        map_from_doc({"matrix": matrix, "algebra": "tn2"})
     with pytest.raises(ValueError, match=r"^matrix must be 3 x 3$"):
         LinMap.from_columns(t2, matrix)
 

@@ -6,6 +6,7 @@ and 2-torsion-freeness is decided correctly (that hypothesis gates the
 square-identity arguments downstream).
 """
 
+import json
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -23,7 +24,9 @@ from ghderiv.algebra import (
 from ghderiv.identities import IdentityKind, check
 from ghderiv.linmap import LinMap, MapTriple, map_from_doc, triple_from_doc
 from ghderiv import ring as ring_mod
+from ghderiv.cli import main
 from ghderiv.ring import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     PRIME_TEST_BOUND,
     QQ,
@@ -106,6 +109,56 @@ def test_huge_exponent_is_refused_before_fraction(monkeypatch, text):
     monkeypatch.setattr(ring_mod, "Fraction", Unreachable)
     with pytest.raises(ValueError, match=f"bad rational literal.*exponent above {MAX_EXPONENT}"):
         QQ.parse(text)
+
+
+@pytest.mark.parametrize("ring, literal", [
+    ("q", "1" + "0" * 4000 + "e1000"),
+    ("q", "1" * 5000),
+    ("z5", "7" * 5000),
+], ids=["exponent", "rational", "residue"])
+def test_check_refuses_a_literal_over_the_digit_budget(monkeypatch, capsys, tmp_path,
+                                                       ring, literal):
+    # Each used to parse, or to fail in int(), and then exit 1 with Python's
+    # set_int_max_str_digits() message, which names no literal.
+    class Unreachable(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                raise AssertionError(f"Fraction({numerator[:20]!r}) reached")
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(ring_mod, "Fraction", Unreachable)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"matrix": [[literal]], "algebra": "ring"}))
+    argv = ["check", "--kind", "left-gh", "--map", str(path), "--ring", ring]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    what = "rational" if ring == "q" else "residue"
+    assert out == ""
+    assert err == (f"error: bad map document: bad {what} literal {literal[:20]!r}... "
+                   f"({len(literal)} characters): more than {MAX_DIGITS} digits\n")
+
+
+def test_solve_refuses_a_modulus_over_the_digit_budget(capsys):
+    name = "z" + "7" * 5000
+    assert main(["solve", "--algebra", "ring", "--kind", "left-gh", "--ring", name]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad ring name {name[:20]!r}... (5001 characters): "
+        f"a modulus of more than {MAX_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize("ring, literal", [
+    ("q", "9" * MAX_DIGITS),
+    ("q", "-" + "9" * (MAX_DIGITS - MAX_EXPONENT) + f"e{MAX_EXPONENT}"),
+    ("q", "1/" + "9" * (MAX_DIGITS - 1)),
+    ("q", "9" * (MAX_DIGITS - MAX_EXPONENT) + f"e-{MAX_EXPONENT}"),
+    ("z" + "9" * MAX_DIGITS, "8" * MAX_DIGITS),
+], ids=["integer", "exponent", "fraction", "negative-exponent", "residue"])
+def test_a_literal_at_the_digit_budget_parses_and_its_square_formats(ring, literal):
+    ring = RingSpec.from_name(ring)
+    value = ring.parse(literal)
+    assert value
+    text = ring.format(ring.reduce(value * value + value * value))
+    assert len(text) > MAX_DIGITS
 
 
 def test_parse_round_trip_zmod():
@@ -261,9 +314,9 @@ def test_coercer_memo_lets_no_lookalike_through(ring, good, bad):
         algebra_from_doc(doc)
     rows = [[good, 0, 0], [bad, 0, 0], [0, 0, 1]]
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        map_from_doc({"matrix": rows}, alg=t2)
+        map_from_doc({"matrix": rows, "algebra": "tn2"}, ring)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        triple_from_doc({"f": rows, "g": rows, "h": rows}, alg=t2)
+        triple_from_doc({"f": rows, "g": rows, "h": rows, "algebra": "tn2"}, ring)
 
 
 @pytest.mark.parametrize("ring", [QQ, Zmod(5)])
