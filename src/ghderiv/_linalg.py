@@ -18,9 +18,9 @@ does not hold.
 
 The reduced row echelon form of a set of rows is unique, independent of
 row order, and it is the only answer given here: ``rref`` returns it for
-a set of rows, ``kernel`` for the solution space of a homogeneous system,
-with the system's rank.  Pivots are chosen in fixed ascending column
-order, first nonzero wins.
+a set of rows, with its pivots, and ``kernel`` for the solution space of
+a homogeneous system.  Pivots are chosen in fixed ascending column order,
+first nonzero wins.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ def rref(rows, ring: RingSpec):
 
 
 def kernel(rows, ncols: int, ring: RingSpec):
-    """``(canonical, rank)``: the reduced echelon form of the solution
-    space of the homogeneous system ``rows`` in ``ncols`` unknowns, and the
-    system's rank.
+    """The reduced echelon form of the solution space of the homogeneous
+    system ``rows`` in ``ncols`` unknowns.
 
     Each free column ``fc`` of the system's reduced form gives a solution:
     1 at ``fc`` and, at each pivot column, minus that pivot row's entry in
@@ -133,4 +132,4 @@ def kernel(rows, ncols: int, ring: RingSpec):
             if c != pc:
                 basis[c][pc] = ring.reduce(-v)
     canonical, _ = rref(basis.values(), ring)
-    return canonical, len(echelon)
+    return canonical

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ring import MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, array
+from .ring import _SHOWN_CHARS, MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, array
 from . import _linalg
 
 __all__ = [
@@ -243,9 +243,8 @@ def jordan_product(a: AlgElement, b: AlgElement) -> AlgElement:
 def _check_dim(dim: int, what: str) -> None:
     """Refuse an algebra whose table would exceed MAX_DIM^3 constants."""
     if dim > MAX_DIM:
-        raise ValueError(
-            f"{what} would have dimension {dim}, over the limit of {MAX_DIM}"
-        )
+        what, dim = (t if len(t) <= _SHOWN_CHARS else _shown(t) for t in (what, str(dim)))
+        raise ValueError(f"{what} would have dimension {dim}, over the limit of {MAX_DIM}")
 
 
 def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
@@ -474,9 +473,8 @@ def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
             row = {k: r for k, v in row.items() if (r := ring.reduce(v))}
             if row:
                 rows.append(row)
-    can, _ = _linalg.kernel(rows, d, ring)
     out = []
-    for row in can:
+    for row in _linalg.kernel(rows, d, ring):
         coords = [0] * d
         for c, v in row.items():
             coords[c] = v
@@ -512,9 +510,10 @@ def algebra_from_doc(doc: dict) -> StructureAlgebra:
     try:
         ring = RingSpec.from_doc(doc["ring"])
         dim = doc["dim"]
-        if isinstance(dim, (bool, float)):
-            raise ValueError(f"bad algebra document: dim {dim!r} is not an integer")
-        dim = int(dim)
+        if type(dim) is not int or dim < 1:
+            shown = _shown(dim) if isinstance(dim, str) else repr(dim)
+            raise ValueError(f"bad algebra document: dim {shown} is not an "
+                             f"integer from 1 to {MAX_DIM}")
         _check_dim(dim, "the algebra document")
         labels = doc["labels"]
         # Values go to the constructor as they are, so its coercion refuses

@@ -18,7 +18,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .ring import CompositeModulusUnsupported, NotAUnit, RingSpec, _Memo
+from .ring import MAX_DIGITS, CompositeModulusUnsupported, NotAUnit, RingSpec, _Memo
 from .algebra import algebra_to_doc, from_spec
 from .linmap import MapTriple, map_from_doc, triple_from_doc, triple_to_doc
 from . import identities
@@ -101,6 +101,13 @@ def _read_doc(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # Python's limit on int-to-text conversion; its message names
+        # neither the document nor the literal.
+        raise InputError(f"{path} holds an integer literal of more than "
+                         f"{MAX_DIGITS} digits") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply to parse") from exc
     return _object(doc, path)

@@ -15,8 +15,12 @@ values directly.  A rational literal's decimal exponent is at most
 ``MAX_EXPONENT`` = 1000 in absolute value, and a literal carries at most
 ``MAX_DIGITS`` = 2000 digits, exponent included, as does a residue or a
 modulus: ``parse`` and ``from_name`` refuse more before ``Fraction`` or
-``int`` would build the value, so every value read from text can be
-written back as text, and so can a product of two of them.  ``is_field``
+``int`` would build the value.  A number given as a number obeys the
+same budget: ``coerce`` refuses an int or a Fraction whose numerator or
+denominator has more digits, and ``from_doc`` such a modulus.  So every
+value read from outside can be written back as text, and so can a
+product of two of them.  ``parse``, which has bounded its literal, and
+``inv``, which inverts computed values, skip that check.  ``is_field``
 decides primality by Miller-Rabin, exactly below ``PRIME_TEST_BOUND``
 (about 3.317e24), and refuses a larger modulus.
 
@@ -77,7 +81,7 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; ValueError at or above PRIME_TEST_BOUND,
     where it could call a composite prime."""
     if n >= PRIME_TEST_BOUND:
-        raise ValueError(f"cannot decide whether {n} is prime: "
+        raise ValueError(f"cannot decide whether {_shown(str(n))} is prime: "
                          f"moduli below {PRIME_TEST_BOUND} are supported")
     if n < 2:
         return False
@@ -145,18 +149,27 @@ class RingSpec:
         This is the one entry point for values from outside the package.
         Anything else, floats, bools and Decimals included, raises
         ValueError: a float has already lost the exact value it stood for.
+        So does a numerator or denominator of more than ``MAX_DIGITS``
+        digits, as ``parse`` refuses one.
         """
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            if self.m is None:
-                return value.numerator if value.denominator == 1 else value
-            if value.denominator != 1:
-                raise ValueError(f"{value} is not an integer residue")
-            return value.numerator % self.m
+            if abs(value.numerator) >= _DIGITS_BOUND or value.denominator >= _DIGITS_BOUND:
+                raise ValueError(f"bad scalar {_shown(str(value))}: "
+                                 f"more than {MAX_DIGITS} digits")
+            return self._raw(value)
         if isinstance(value, str):
             return self.parse(value)
         raise ValueError(
             f"{value!r} is not an exact scalar: give an int, a Fraction or a string"
         )
+
+    def _raw(self, value):
+        """The raw value of an int or a Fraction of any size."""
+        if self.m is None:
+            return value.numerator if value.denominator == 1 else value
+        if value.denominator != 1:
+            raise ValueError(f"{value} is not an integer residue")
+        return value.numerator % self.m
 
     def coercer(self):
         """A ``coerce`` function that coerces each distinct value once.
@@ -220,8 +233,9 @@ class RingSpec:
         if self.m is None:
             if not value:
                 raise NotAUnit("0 has no inverse in Q")
-            # Through Fraction: 1 / value on ints would give a float.
-            return self.coerce(Fraction(1, value))
+            # Through Fraction: 1 / value on ints would give a float.  A
+            # computed value may carry more than MAX_DIGITS digits.
+            return self._raw(Fraction(1, value))
         try:
             return pow(value, -1, self.m)
         except ValueError:
@@ -245,7 +259,7 @@ class RingSpec:
                 raise ValueError(f"bad rational literal {_shown(text)}: "
                                  f"more than {MAX_DIGITS} digits")
             try:
-                return self.coerce(Fraction(text.strip()))
+                return self._raw(Fraction(text.strip()))
             except (ValueError, ZeroDivisionError) as exc:
                 reason = exc if len(text) <= _SHOWN_CHARS else "not a rational number"
                 raise ValueError(f"bad rational literal {_shown(text)}: {reason}") from None
@@ -298,7 +312,11 @@ class RingSpec:
         if doc["kind"] == "Q":
             return QQ
         if doc["kind"] == "Zmod":
-            return Zmod(doc["m"])
+            m = doc["m"]
+            if type(m) is int and m >= _DIGITS_BOUND:
+                raise ValueError(f"bad ring document: the modulus {_shown(str(m))} "
+                                 f"has more than {MAX_DIGITS} digits")
+            return Zmod(m)
         raise ValueError(f"unknown ring kind in document: {doc['kind']!r}")
 
     def __str__(self) -> str:
@@ -346,6 +364,7 @@ MAX_EXPONENT = 1000
 # text, and a sum of products of two values of this many digits stays
 # under that.
 MAX_DIGITS = 2000
+_DIGITS_BOUND = 10 ** MAX_DIGITS
 # Error messages show a longer literal or name by its first 20 characters.
 _SHOWN_CHARS = 60
 _EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)

@@ -8,7 +8,7 @@ Unknown order is fixed: the f block, then g, then h; inside a block,
 column-major (all coordinates of the image of e_0, then of e_1, ...).
 The row layout is the fixed order (i, j, coordinate, template) over
 ordered basis pairs, followed by any constraint rows.  Most identity rows
-of that layout are empty; the compiler yields only the nonempty ones,
+of that layout are empty; the compiler keeps only the nonempty ones,
 each with its position, and the system stores those, so compiling and
 elimination cost what the nonzeros cost.  Rows, solution vectors and
 canonical matrices hold raw ring values (see ``ring``), the same values
@@ -213,8 +213,9 @@ class LinearSystem:
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
-    """Yield ``(position, row)`` for the nonempty identity rows, in
-    (i, j, coordinate, template) order.
+    """``(rows, positions, nrows)``: the nonempty identity rows in
+    (i, j, coordinate, template) order, an ``array`` of their positions,
+    and the number of rows in that order, empty ones included.
 
     Each row states that one output coordinate of one template instance at
     one ordered basis pair vanishes: lhs terms enter with their
@@ -224,7 +225,7 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
     for i < j only.  ``position`` numbers every row of that order, empty
     ones included: pair (i, j) with T templates holds d T of them, and the
     row of coordinate m and template t is the m T + t-th.  A row whose
-    terms are all zero, or cancel, is not yielded.
+    terms are all zero, or cancel, is not kept.
     """
     d = alg.dim
     reduce = alg.ring.reduce
@@ -239,7 +240,7 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
                 by_right[q].setdefault(m, []).append((p, c))
                 by_left[p].setdefault(m, []).append((q, c))
     views = {"left": by_right, "right": by_left}
-    start = 0
+    out, positions, start = [], array("l"), 0
     for i in range(d):
         for j in range(d):
             x = (i, j)
@@ -270,8 +271,10 @@ def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
             for offset in sorted(rows):
                 row = {col: r for col, v in rows[offset].items() if (r := reduce(v))}
                 if row:
-                    yield start + offset, row
+                    out.append(row)
+                    positions.append(start + offset)
             start += d * n
+    return out, positions, start
 
 
 def build_system(
@@ -283,14 +286,7 @@ def build_system(
     cons = constraints if constraints is not None else Constraints()
     d = alg.dim
     minus_one = alg.ring.reduce(-1)
-    positions = array("l")
-    rows = []
-    for p, row in _emit_identity_rows(alg, kind):
-        positions.append(p)
-        rows.append(row)
-    # One layout row per output coordinate of each template at each pair.
-    nrows = d * sum(len(identities.templates_at(kind, i, j))
-                    for i in range(d) for j in range(d))
+    rows, positions, nrows = _emit_identity_rows(alg, kind)
     identity_rows = len(rows)
     if cons.force_g_eq_h:
         for j in range(d):
@@ -375,7 +371,7 @@ class SolutionSpace:
 
 def nullspace(system: LinearSystem) -> SolutionSpace:
     """Exact solution space with a canonical reduced-echelon basis."""
-    canonical, _ = _linalg.kernel(system.rows, system.ncols, system.alg.ring)
+    canonical = _linalg.kernel(system.rows, system.ncols, system.alg.ring)
     return SolutionSpace(alg=system.alg, kind=system.kind,
                          constraints=system.constraints, canonical=tuple(canonical))
 
@@ -409,19 +405,33 @@ def verify_space(space: SolutionSpace) -> bool:
 
     1. substitution: every basis triple passes the identity checker and
        the extra constraints, and its canonical row, the flattened triple,
-       kills every row of a freshly rebuilt system;
+       kills every row of a freshly rebuilt system: span(canonical) lies
+       in the nullspace;
     2. rank-nullity: dim equals 3d^2 minus the rank of that system, which
-       ``_linalg.kernel`` eliminates once, under a seeded random row and
-       column permutation;
-    3. stability: un-permuting that kernel and re-canonicalising it
-       reproduces ``canonical`` exactly.
+       one ``_linalg.rref`` takes under a seeded random row and column
+       permutation: the nullspace has dimension dim;
+    3. shape: a scan of the stored nonzeros finds ``canonical`` a reduced
+       echelon matrix.  Each row's smallest column is its pivot and holds
+       1, the pivots strictly ascend, no row holds another row's pivot
+       column, and every value is nonzero and its own ``ring.reduce``.  So
+       the rows are independent and in the normal form of ``ring``.
 
-    Certificates 2 and 3 share ``_linalg`` with the solver.  None proves
-    that the compiled rows state the identity; ``tests/test_check_paths.py``
+    Together: ``canonical`` spans the nullspace, and it is that space's
+    unique reduced echelon form, as ``nullspace`` would store it.  Only
+    certificate 2 shares ``_linalg`` with the solver.  None proves that
+    the compiled rows state the identity; ``tests/test_check_paths.py``
     pins that.
     """
+    reduce = space.alg.ring.reduce
+    pivots = [min(row, default=-1) for row in space.canonical]
+    held = set(pivots)
     system = build_system(space.alg, space.kind, space.constraints)
-    for row, t in zip(space.canonical, space.basis):
+    # Certificate 3 on each row, then certificate 1.
+    for row, t, pivot, last in zip(space.canonical, space.basis, pivots, [-1] + pivots):
+        if pivot <= last or row.get(pivot) != 1 or sum(c in held for c in row) != 1:
+            return False
+        if not all(v and v == reduce(v) for v in row.values()):
+            return False
         if not identities.check(space.kind, t).holds:
             return False
         if not _constraints_hold(space, t):
@@ -431,15 +441,10 @@ def verify_space(space: SolutionSpace) -> bool:
     rng = random.Random(_PERMUTATION_SEED)
     cols = list(range(system.ncols))
     rng.shuffle(cols)
-    remap = {old: new for new, old in enumerate(cols)}
-    permuted = [{remap[c]: v for c, v in row.items()} for row in system.rows]
+    permuted = [{cols[c]: v for c, v in row.items()} for row in system.rows]
     rng.shuffle(permuted)
-    kernel, rank = _linalg.kernel(permuted, system.ncols, space.alg.ring)
-    if space.rank != rank:
-        return False
-    unpermuted = [{cols[c]: v for c, v in vec.items()} for vec in kernel]
-    canonical, _ = _linalg.rref(unpermuted, space.alg.ring)
-    return tuple(canonical) == space.canonical
+    echelon, _ = _linalg.rref(permuted, space.alg.ring)
+    return space.rank == len(echelon)
 
 
 def _require_comparable(s1: SolutionSpace, s2: SolutionSpace) -> None:

@@ -466,6 +466,24 @@ def test_oversized_algebras_fail_before_any_table(monkeypatch, capsys):
             from_spec(spec)
 
 
+def test_algebra_document_dim_is_a_json_integer_from_1_to_max_dim():
+    doc = algebra_to_doc(upper_triangular(2))
+    for bad in ("3", 0, -1, None, [3], "1" * 5000):
+        shown = "'11111111111111111111'... (5000 characters)" if bad == "1" * 5000 else repr(bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad algebra document: dim {shown} is not an integer from 1 to {MAX_DIM}")):
+            algebra_from_doc({**doc, "dim": bad})
+    with pytest.raises(ValueError, match=re.escape(
+            "the algebra document would have dimension '77777777777777777777'... "
+            f"(3000 characters), over the limit of {MAX_DIM}")):
+        algebra_from_doc({**doc, "dim": int("7" * 3000)})
+    # With empty tables, dim 0 used to load as a 0-dimensional algebra.
+    empty = {"ring": {"kind": "Q"}, "dim": 0, "labels": [], "unity": [], "sc": []}
+    with pytest.raises(ValueError, match="dim 0 is not an integer from 1 to"):
+        algebra_from_doc(empty)
+    assert algebra_from_doc(doc) == upper_triangular(2)
+
+
 def test_an_algebra_of_dimension_max_dim_is_built(monkeypatch):
     base = ring_as_algebra(QQ)
     built = []

@@ -18,7 +18,7 @@ from ghderiv.linmap import (
     triple_to_doc,
 )
 from ghderiv.identities import IdentityKind, check
-from ghderiv.ring import QQ, Zmod
+from ghderiv.ring import MAX_DIGITS, PRIME_TEST_BOUND, QQ, Zmod
 from ghderiv.solver import solve
 
 
@@ -106,6 +106,16 @@ def test_solve_modulus_too_large_to_test_exits_1(capsys):
                          "--ring", f"z{2 ** 89 - 1}")
     assert (code, out) == (1, "")
     assert "cannot decide" in err and "Traceback" not in err
+
+
+def test_an_undecidable_modulus_is_named_briefly(capsys):
+    # The whole modulus used to be printed: 1,993 bytes of stderr here.
+    m = "7" * 1900
+    code, out, err = run(capsys, "solve", "--algebra", "ring", "--kind", "left-gh",
+                         "--ring", f"z{m}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot decide whether {m[:20]!r}... (1900 characters) is "
+                   f"prime: moduli below {PRIME_TEST_BOUND} are supported\n")
 
 
 def test_solve_composite_modulus_exits_2(capsys):
@@ -233,6 +243,54 @@ def test_check_refuses_a_huge_exponent(capsys, tmp_path, literal):
     code, out, err = run(capsys, "check", "--kind", "left-gh", "--map", str(path))
     assert (code, out) == (1, "")
     assert "bad rational literal" in err and "Traceback" not in err
+
+
+def _number_documents():
+    """(name, document text, what stderr names) for documents whose JSON
+    integers break the digit budget: each used to exit 1 with Python's
+    set_int_max_str_digits() message, naming neither document nor value,
+    or to load, some of them failing later while formatting a product."""
+    long = lambda digit, n: f"{digit * 20!r}... ({n} characters)"
+    alg = {"ring": {"kind": "Q"}, "dim": 1, "labels": ["1"], "unity": [1], "sc": [[[1]]]}
+    # A 2-dimensional algebra with x^2 = N x, N of 3,000 digits: its table
+    # is associative and has a unity, so only the size of N is wrong.
+    sc = '[[[1, 0], [0, 1]], [[0, 1], [0, %s]]]' % ("3" * 3000)
+    inline = ('{"ring": {"kind": "Q"}, "dim": 2, "labels": ["1", "x"], '
+              '"unity": [1, 0], "sc": %s}' % sc)
+    return [
+        ("5000-digit entry", '{"matrix": [[%s]], "algebra": "ring"}' % ("7" * 5000),
+         f"holds an integer literal of more than {MAX_DIGITS} digits"),
+        ("5000-digit dim", json.dumps({"matrix": [[1]], "algebra": {**alg, "dim": "1" * 5000}}),
+         f"dim {long('1', 5000)} is not an integer from 1 to 128"),
+        ("3000-digit entry", '{"matrix": [[%s]], "algebra": "ring"}' % ("7" * 3000),
+         f"bad scalar {long('7', 3000)}: more than {MAX_DIGITS} digits"),
+        ("3000-digit modulus", json.dumps({"matrix": [[1]], "algebra": {
+            **alg, "ring": {"kind": "Zmod", "m": int("7" * 3000)}}}),
+         f"the modulus {long('7', 3000)} has more than {MAX_DIGITS} digits"),
+        ("3000-digit sc and entry",
+         '{"matrix": [[0, 0], [0, %s]], "algebra": %s}' % ("2" * 3000, inline),
+         f"bad scalar {long('3', 3000)}: more than {MAX_DIGITS} digits"),
+    ]
+
+
+@pytest.mark.parametrize("name, text, named", _number_documents(),
+                         ids=[case[0] for case in _number_documents()])
+def test_json_integers_obey_the_digit_budget(capsys, tmp_path, name, text, named):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--kind", "left-gh", "--map", str(path))
+    assert (code, out) == (1, "")
+    assert named in err and "set_int_max_str_digits" not in err, err
+    assert len(err) < 300 and "Traceback" not in err
+    if name == "5000-digit entry":
+        assert err == f"error: {path} {named}\n"
+
+
+def test_a_json_integer_at_the_digit_budget_loads(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text('{"matrix": [[%s]], "algebra": "ring"}' % ("7" * MAX_DIGITS))
+    code, out, err = run(capsys, "check", "--kind", "left-gh", "--map", str(path))
+    assert code == 0 and json.loads(out)["holds"] is False, err
 
 
 def test_check_refuses_vectors_that_are_not_arrays_of_dim_values(capsys, tmp_path):

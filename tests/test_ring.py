@@ -152,13 +152,43 @@ def test_solve_refuses_a_modulus_over_the_digit_budget(capsys):
     ("q", "1/" + "9" * (MAX_DIGITS - 1)),
     ("q", "9" * (MAX_DIGITS - MAX_EXPONENT) + f"e-{MAX_EXPONENT}"),
     ("z" + "9" * MAX_DIGITS, "8" * MAX_DIGITS),
-], ids=["integer", "exponent", "fraction", "negative-exponent", "residue"])
+    ("q", "." + "9" * MAX_EXPONENT + f"e-{MAX_EXPONENT}"),
+], ids=["integer", "exponent", "fraction", "negative-exponent", "residue",
+        "denominator-past-the-budget"])
 def test_a_literal_at_the_digit_budget_parses_and_its_square_formats(ring, literal):
     ring = RingSpec.from_name(ring)
     value = ring.parse(literal)
     assert value
     text = ring.format(ring.reduce(value * value + value * value))
     assert len(text) > MAX_DIGITS
+
+
+def test_coerce_refuses_a_number_over_the_digit_budget():
+    # A JSON integer of 2,001 to 4,300 digits used to load, past the budget
+    # that bounds text, and to fail later while formatting a product.
+    big = 10 ** MAX_DIGITS
+    for ring in (QQ, Zmod(5)):
+        assert ring.coerce(big - 1) == ring.reduce(big - 1)
+        assert ring.coerce(-(big - 1)) == ring.reduce(-(big - 1))
+        for value in (big, -big, Fraction(1, big), Fraction(big + 1, 3)):
+            shown = f"{str(value)[:20]!r}... ({len(str(value))} characters)"
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad scalar {shown}: more than {MAX_DIGITS} digits")):
+                ring.coerce(value)
+    # Inverses of computed values are not bound by it, and neither is a
+    # parsed literal, which its own text bounds.
+    assert QQ.inv(big) == Fraction(1, big) and QQ.inv(Fraction(1, big)) == big
+    assert QQ.parse("." + "9" * MAX_EXPONENT + f"e-{MAX_EXPONENT}").denominator == big
+
+
+def test_ring_document_refuses_a_modulus_over_the_digit_budget():
+    m = int("7" * 3000)
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad ring document: the modulus '77777777777777777777'... (3000 characters) "
+            f"has more than {MAX_DIGITS} digits")):
+        RingSpec.from_doc({"kind": "Zmod", "m": m})
+    m = 10 ** MAX_DIGITS - 1
+    assert RingSpec.from_doc({"kind": "Zmod", "m": m}) == Zmod(m)
 
 
 def test_parse_round_trip_zmod():

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ghderiv import _linalg
 from ghderiv.ring import (
@@ -134,6 +134,16 @@ def test_verify_space_accepts_honest_spaces(solved):
     assert verify_space(solved("quat", LGH))
 
 
+def _passes_substitution_and_rank(sp):
+    """Certificates 1 and 2 of verify_space alone: every basis triple passes
+    the checker, every canonical row kills the rebuilt system, and dim is
+    3d^2 minus that system's rank."""
+    system = build_system(sp.alg, sp.kind, sp.constraints)
+    rank = len(_linalg.rref(system.rows, sp.alg.ring)[0])
+    return sp.rank == rank and all(check(sp.kind, t).holds and system._kills(row)
+                                   for row, t in zip(sp.canonical, sp.basis))
+
+
 def test_verify_space_rejects_tampering(solved):
     sp = solved("tn2", JLGH)
     t2 = sp.alg
@@ -144,25 +154,105 @@ def test_verify_space_rejects_tampering(solved):
     row, last = sp.canonical[0], 3 * t2.dim ** 2 - 1
     perturbed = {**row, last: row.get(last, 0) + 1}
     assert not verify_space(dataclasses.replace(sp, canonical=(perturbed,) + sp.canonical[1:]))
-    # Solutions spanning the right space, but not in reduced echelon form,
-    # pass substitution and rank-nullity; the permuted re-solve must catch them.
-    first, second = sp.canonical[:2]
-    summed = {c: v for c in first.keys() | second.keys()
-              if (v := first.get(c, 0) + second.get(c, 0))}
-    canonical = (summed,) + sp.canonical[1:]
-    assert not verify_space(dataclasses.replace(sp, canonical=canonical))
-    # A stored zero spans the same space but breaks equality of canonical
-    # tuples, which space_equal relies on; the permuted re-solve rejects it.
-    unused = min(set(range(last + 1)) - row.keys())
-    zeroed = dataclasses.replace(sp, canonical=({**row, unused: 0},) + sp.canonical[1:])
-    assert zeroed.basis == sp.basis and zeroed.dim == sp.dim
-    assert not verify_space(zeroed)
     # A wrong dimension must trip rank-nullity.
     assert not verify_space(dataclasses.replace(
         sp, canonical=sp.canonical + (sp.canonical[0],)))
     # A space that lacks one solution passes substitution; rank-nullity
     # must reject it.
     assert not verify_space(dataclasses.replace(sp, canonical=sp.canonical[:-1]))
+    # Each space below spans a subspace of the right dimension whose rows
+    # are all solutions, so it passes substitution and rank-nullity; only
+    # the scan of the stored nonzeros can reject it, one clause each.
+    first, second = sp.canonical[:2]
+    summed = {c: v for c in first.keys() | second.keys()
+              if (v := first.get(c, 0) + second.get(c, 0))}
+    p2 = min(second)
+    scaled = {c: 2 * v for c, v in first.items()}
+    pivots = {min(r) for r in sp.canonical}
+    unused = min(set(range(last + 1)) - row.keys() - pivots)
+    tampered = {
+        # The right space, but not reduced: row 0 holds row 1's pivot.
+        "summed rows": (summed,) + sp.canonical[1:],
+        # Pivots must strictly ascend.
+        "two rows swapped": (second, first) + sp.canonical[2:],
+        # A pivot must hold 1.
+        "pivot holds 2": (scaled,) + sp.canonical[1:],
+        # Every row has a pivot: an empty row stands for none.
+        "empty row": sp.canonical[:-1] + ({},),
+        # A stored zero, off every pivot column, spans the same space but
+        # breaks equality of canonical tuples, which space_equal relies on.
+        "stored zero": ({**row, unused: 0},) + sp.canonical[1:],
+    }
+    assert summed[p2] and scaled[min(first)] == 2
+    zeroed = dataclasses.replace(sp, canonical=tampered["stored zero"])
+    assert zeroed.basis == sp.basis and zeroed.dim == sp.dim
+    z5 = solved("poly(ring,2)", LGH, ring=Zmod(5))
+    k, c = next((k, c) for k, r in enumerate(z5.canonical) for c, v in r.items() if v == 2)
+    unreduced = z5.canonical[:k] + ({**z5.canonical[k], c: 7},) + z5.canonical[k + 1:]
+    for name, canonical in tampered.items():
+        bad = dataclasses.replace(sp, canonical=canonical)
+        assert _passes_substitution_and_rank(bad), name
+        assert not verify_space(bad), name
+    # A residue must be stored in [0, 5): 7 stands for 2.
+    bad = dataclasses.replace(z5, canonical=unreduced)
+    assert _passes_substitution_and_rank(bad)
+    assert not verify_space(bad)
+
+
+def _tamper(data, sp):
+    """One random change to the stored rows of ``sp``.  It may leave them
+    as they are (a row swapped with itself); the caller skips those."""
+    ring, rows, ncols = sp.alg.ring, list(sp.canonical), 3 * sp.alg.dim ** 2
+    nonzero = (st.sampled_from([2, 3, 4]) if ring.m else
+               st.fractions(-3, 3).filter(lambda x: x not in (0, 1)))
+    pick = lambda: data.draw(st.integers(0, len(rows) - 1))
+    how = data.draw(st.sampled_from(
+        ["swap", "scale", "drop", "repeat", "empty", "zero", "add", "entry"]
+        + (["unreduced"] if ring.m else [])))
+    if how == "swap":
+        i, j = pick(), pick()
+        rows[i], rows[j] = rows[j], rows[i]
+    elif how == "scale":
+        i, x = pick(), data.draw(nonzero)
+        rows[i] = {c: ring.reduce(x * v) for c, v in rows[i].items()}
+    elif how == "drop":
+        del rows[pick()]
+    elif how == "repeat":
+        rows.insert(pick(), rows[pick()])
+    elif how == "empty":
+        rows[pick()] = {}
+    elif how == "zero":
+        i = pick()
+        free = sorted(set(range(ncols)) - rows[i].keys())
+        rows[i] = {**rows[i], data.draw(st.sampled_from(free)): 0}
+    elif how == "add":
+        i, j, x = pick(), pick(), data.draw(nonzero)
+        row = dict(rows[i])
+        for c, v in rows[j].items():
+            row[c] = ring.reduce(row.get(c, 0) + x * v)
+        rows[i] = {c: v for c, v in row.items() if v}
+    elif how == "entry":
+        i, c, x = pick(), data.draw(st.integers(0, ncols - 1)), data.draw(nonzero)
+        row = {**rows[i], c: ring.reduce(rows[i].get(c, 0) + x)}
+        rows[i] = {c: v for c, v in row.items() if v}
+    else:
+        i = pick()
+        c = data.draw(st.sampled_from(sorted(rows[i])))
+        rows[i] = {**rows[i], c: rows[i][c] + 5 * data.draw(st.integers(1, 3))}
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_space_rejects_any_tamper(solved, data):
+    spec = data.draw(st.sampled_from(["tn2", "mn2", "tn3"]))
+    kind = data.draw(st.sampled_from([LGH, JLGH]))
+    ring = data.draw(st.sampled_from([QQ, Zmod(5)]))
+    sp = solved(spec, kind, ring=ring)
+    assume(sp.dim > 0)
+    canonical = _tamper(data, sp)
+    assume(canonical != sp.canonical)
+    assert not verify_space(dataclasses.replace(sp, canonical=canonical))
 
 
 def test_solution_basis_passes_checker(solved):
