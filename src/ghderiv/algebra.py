@@ -169,7 +169,8 @@ class StructureAlgebra:
             for j, bj in nonzero_b:
                 for k, c in row[j]:
                     acc[k] += ai * bj * c
-        return tuple(map(self.ring.reduce, acc))
+        reduce = self.ring.reduce
+        return tuple(reduce(x) if x else 0 for x in acc)
 
     def __str__(self) -> str:
         return f"<algebra dim {self.dim} over {self.ring}>"

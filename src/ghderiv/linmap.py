@@ -12,7 +12,7 @@ families are (R_G + R_H, R_G, R_H) and the others (2 R_alpha, R_alpha,
 R_alpha).  Documents always carry their algebra, inline or as a spec
 string, and a loaded algebra is always validated.  ``poly_lift`` and
 ``tensor_extend`` transport maps into truncated polynomial and tensor
-product algebras, and ``tensor_coordinates`` undoes the latter.
+product algebras.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "LinMap",
     "MapTriple",
     "BadParameterCount",
-    "NotATensorAlgebra",
     "right_mul_map",
     "left_mul_map",
     "tn_jordan_family",
@@ -47,7 +46,6 @@ __all__ = [
     "poly_lift_triple",
     "tensor_extend",
     "tensor_extend_triple",
-    "tensor_coordinates",
     "map_to_doc",
     "map_from_doc",
     "triple_to_doc",
@@ -57,10 +55,6 @@ __all__ = [
 
 class BadParameterCount(ValueError):
     """A parametric family was given the wrong number of parameters."""
-
-
-class NotATensorAlgebra(ValueError):
-    """Coordinate extraction needs a map on an algebra built by tensor_product."""
 
 
 @dataclass(frozen=True)
@@ -304,11 +298,8 @@ def poly_lift(f: LinMap, degree: int) -> LinMap:
 
 
 def poly_lift_triple(t: MapTriple, degree: int) -> MapTriple:
-    return _poly_lift_triple(truncated_poly(t.alg, degree), t)
-
-
-def _poly_lift_triple(lifted: StructureAlgebra, t: MapTriple) -> MapTriple:
-    """Lift all three maps into ``lifted``, one algebra instance for all."""
+    """Lift all three maps into one truncated polynomial algebra instance."""
+    lifted = truncated_poly(t.alg, degree)
     return MapTriple(*(_lift_into(lifted, m) for m in (t.f, t.g, t.h)))
 
 
@@ -351,33 +342,6 @@ def _extend_into(prod: StructureAlgebra, f: LinMap) -> LinMap:
                     col[m * ds + j] = fc[m]
             cols.append(col)
     return LinMap.from_columns(prod, cols)
-
-
-def tensor_coordinates(f: LinMap) -> list[LinMap]:
-    """Coordinate maps of a self-map of a tensor product algebra.
-
-    For F on A (x) S this returns, for each basis vector b_t of S, the map
-    a -> (coordinate t of F(a (x) 1)) as a self-map of A.  Extending a map
-    and taking coordinates returns the original at the slot of 1 in S and
-    zero elsewhere whenever 1 is a basis vector of S.
-    """
-    prod = f.alg
-    if prod.factors is None:
-        raise NotATensorAlgebra("map does not live on a tensor product algebra")
-    a, s = prod.factors
-    ds = s.dim
-    cols_per_t = [[] for _ in range(ds)]
-    for i in range(a.dim):
-        embedded = [0] * prod.dim
-        for n_ in range(ds):
-            if s.unity[n_]:
-                embedded[i * ds + n_] = s.unity[n_]
-        image = f.apply(AlgElement(prod, tuple(embedded)))
-        for t in range(ds):
-            cols_per_t[t].append(
-                tuple(image.coords[m * ds + t] for m in range(a.dim))
-            )
-    return [LinMap.from_columns(a, cols) for cols in cols_per_t]
 
 
 # ---------------------------------------------------------------------------

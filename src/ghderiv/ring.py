@@ -43,6 +43,7 @@ explicit; nothing in this package divides by 2.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,7 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; ValueError at or above PRIME_TEST_BOUND,
     where it could call a composite prime."""
     if n >= PRIME_TEST_BOUND:
-        raise ValueError(f"cannot decide whether {_shown(str(n))} is prime: "
+        raise ValueError(f"cannot decide whether {_shown_number(n)} is prime: "
                          f"moduli below {PRIME_TEST_BOUND} are supported")
     if n < 2:
         return False
@@ -154,7 +155,7 @@ class RingSpec:
         """
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             if abs(value.numerator) >= _DIGITS_BOUND or value.denominator >= _DIGITS_BOUND:
-                raise ValueError(f"bad scalar {_shown(str(value))}: "
+                raise ValueError(f"bad scalar {_shown_number(value)}: "
                                  f"more than {MAX_DIGITS} digits")
             return self._raw(value)
         if isinstance(value, str):
@@ -270,9 +271,8 @@ class RingSpec:
             raise ValueError(f"bad residue literal {_shown(text)}: "
                              f"more than {MAX_DIGITS} digits")
         if m.group(2) is not None and int(m.group(2)) != self.m:
-            raise ValueError(
-                f"literal {_shown(text)} names modulus {m.group(2)}, ring has {self.m}"
-            )
+            raise ValueError(f"literal {_shown(text)} names modulus "
+                             f"{_shown_number(int(m.group(2)))}, ring has {_shown_number(self.m)}")
         return int(m.group(1)) % self.m
 
     def format(self, value) -> str:
@@ -314,7 +314,7 @@ class RingSpec:
         if doc["kind"] == "Zmod":
             m = doc["m"]
             if type(m) is int and m >= _DIGITS_BOUND:
-                raise ValueError(f"bad ring document: the modulus {_shown(str(m))} "
+                raise ValueError(f"bad ring document: the modulus {_shown_number(m)} "
                                  f"has more than {MAX_DIGITS} digits")
             return Zmod(m)
         raise ValueError(f"unknown ring kind in document: {doc['kind']!r}")
@@ -376,3 +376,21 @@ def _shown(text: str) -> str:
     if len(text) <= _SHOWN_CHARS:
         return repr(text)
     return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _shown_number(value) -> str:
+    """An int or a Fraction for an error message: its text when that is
+    short, else shortened as by ``_shown``.  No long int is turned into
+    text, which Python refuses past 4,300 digits: the shortened form is
+    built from each part's first 20 digits and its digit count."""
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    heads, length = [], len(parts) - 1
+    for n in parts:
+        a = abs(n)
+        digits = max(int(a.bit_length() * math.log10(2)), 1)  # off by one at most
+        digits += (a >= 10 ** digits) - (a < 10 ** (digits - 1))
+        heads.append(("-" if n < 0 else "") + str(a // 10 ** max(digits - 20, 0)))
+        length += digits + (n < 0)
+    if length <= _SHOWN_CHARS:
+        return str(value)
+    return f"{'/'.join(heads)[:20]!r}... ({length} characters)"

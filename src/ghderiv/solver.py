@@ -26,9 +26,10 @@ over composite moduli; only elimination is restricted.
 Rows are also an evaluator, and it answers one question: does a triple
 hold?  ``LinearSystem.evaluate`` flattens it into a sparse row (the one
 vector form here, ``triple_to_row``) and adds each entry into the rows of
-its column, constraint rows included.  Where a triple fails is the
-question of ``identities.check``.  One compiled system pays when many
-triples are checked on one algebra.
+its column, constraint rows included.  It is the triple-level form of
+``verify_space``'s substitution certificate, which runs the same test on
+each canonical row.  Where a triple fails is the question of
+``identities.check``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from ghderiv.catalog import (
     worked_cases,
 )
 from ghderiv.algebra import is_commutative, validate
-from ghderiv.linmap import MapTriple
+from ghderiv.linmap import LinMap, MapTriple, poly_lift_triple
 from ghderiv.identities import IdentityKind
 
 EXPECTED_CASE_IDS = {
@@ -94,20 +94,37 @@ def test_every_detail_is_informative(catalog_report):
         assert r.detail.strip(), f"{r.id} has an empty detail line"
 
 
-def test_polylift_counts_the_triples_it_checks(catalog_report):
-    # The one-sided spaces on M2 and the quaternions are 0: every random
-    # draw there is the zero triple, which is checked once, not 50 times.
+def test_polylift_names_the_dimension_it_checks(catalog_report):
     details = {r.id: r.detail for r in catalog_report.results}
-    claims = {e.id: e.claim for e in entries()}
-    for spec in ("tn2", "mn2", "quat"):
-        for kind in ("jordan-left-gh", "left-gh"):
-            eid = f"polylift-{spec}-{kind}"
-            if kind == "left-gh" and spec != "tn2":
-                assert details[eid].startswith("1 triple checked: the space is 0")
-                assert "the zero triple, the only solution (1 triple)" in claims[eid]
+    dims = {"tn2": (5, 4), "mn2": (4, 0), "quat": (4, 0)}
+    for spec, (two_sided, one_sided) in dims.items():
+        for kind, dim in (("jordan-left-gh", two_sided), ("left-gh", one_sided)):
+            detail = details[f"polylift-{spec}-{kind}"]
+            if dim:
+                assert detail.startswith(f"{dim} basis triples lifted to degree 3 stay solutions")
             else:
-                assert details[eid].startswith("50 distinct seeded random solutions;")
-                assert "50 distinct seeded random solutions" in claims[eid]
+                assert detail.startswith("the space has dimension 0: nothing needs lifting")
+
+
+def test_polylift_catches_a_lift_that_drops_f_above_degree_0(monkeypatch):
+    # The basis check is not vacuous: with f's columns written into degree 0
+    # only, every nonzero space fails, and a zero space has nothing to lift.
+    def degree_0_f(t, degree):
+        lifted = poly_lift_triple(t, degree)
+        d, p = t.alg.dim, lifted.alg
+        cols = [lifted.f.column(i) if i < d else [0] * p.dim for i in range(p.dim)]
+        return MapTriple(LinMap.from_columns(p, cols), lifted.g, lifted.h)
+
+    monkeypatch.setattr(catalog, "poly_lift_triple", degree_0_f)
+    status = {r.id: r.status for r in run_catalog("polylift-").results}
+    assert status == {
+        "polylift-mn2-jordan-left-gh": "fail",
+        "polylift-mn2-left-gh": "pass",
+        "polylift-quat-jordan-left-gh": "fail",
+        "polylift-quat-left-gh": "pass",
+        "polylift-tn2-jordan-left-gh": "fail",
+        "polylift-tn2-left-gh": "fail",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from ghderiv.linmap import (
     BadParameterCount,
     LinMap,
     MapTriple,
-    NotATensorAlgebra,
     left_mul_map,
     map_from_doc,
     map_to_doc,
@@ -36,7 +35,6 @@ from ghderiv.linmap import (
     poly_lift,
     quat_jordan_family,
     right_mul_map,
-    tensor_coordinates,
     tensor_extend,
     tn_jordan_family,
     tn_left_family,
@@ -274,7 +272,7 @@ def test_poly_lift_acts_degreewise():
             assert img.coords == tuple(expect)
 
 
-def test_tensor_extend_and_coordinates_round_trip():
+def test_tensor_extend_acts_as_f_on_the_first_factor():
     t2 = upper_triangular(2)
     s = truncated_poly(ring_as_algebra(QQ), 1)
     f = right_mul_map(t2.element([1, 2, 3]))
@@ -286,15 +284,6 @@ def test_tensor_extend_and_coordinates_round_trip():
             img = ext(ext.alg.basis_element(i * s.dim + j))
             for m in range(t2.dim):
                 assert img.coords[m * s.dim + j] == f.column(i)[m]
-    coords = tensor_coordinates(ext)
-    assert coords[0] == f
-    assert coords[1].is_zero()
-
-
-def test_tensor_coordinates_requires_tensor_algebra():
-    f = LinMap.identity(upper_triangular(2))
-    with pytest.raises(NotATensorAlgebra):
-        tensor_coordinates(f)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,42 @@ def test_ring_document_refuses_a_modulus_over_the_digit_budget():
     assert RingSpec.from_doc({"kind": "Zmod", "m": m}) == Zmod(m)
 
 
+# Python refuses to turn an int of more than 4,300 digits into text, so a
+# message that named such a number through str() raised Python's own
+# set_int_max_str_digits() ValueError instead.
+def test_coerce_names_a_number_past_pythons_text_limit():
+    for value, shown in ((10 ** 5000, "'10000000000000000000'... (5001 characters)"),
+                         (Fraction(-1, 10 ** 5000), "'-1/10000000000000000'... (5004 characters)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad scalar {shown}: more than {MAX_DIGITS} digits")):
+            QQ.coerce(value)
+
+
+def test_ring_document_names_a_modulus_past_pythons_text_limit():
+    with pytest.raises(ValueError, match=re.escape(
+            "bad ring document: the modulus '10000000000000000000'... (5001 characters) "
+            f"has more than {MAX_DIGITS} digits")):
+        RingSpec.from_doc({"kind": "Zmod", "m": 10 ** 5000 + 1})
+
+
+def test_check_shortens_a_residue_literals_modulus(capsys, tmp_path):
+    # Both moduli used to be printed whole: 2,004 bytes of stderr here.
+    literal = "1 mod " + "7" * 1900
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"matrix": [[literal]], "algebra": "ring"}))
+    assert main(["check", "--kind", "left-gh", "--map", str(path), "--ring", "z5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bad map document: literal '1 mod 77777777777777'... "
+                   "(1906 characters) names modulus '77777777777777777777'... "
+                   "(1900 characters), ring has 5\n")
+    assert len(err) < 400
+    with pytest.raises(ValueError, match=re.escape(
+            "literal '1 mod 5' names modulus 5, ring has '10000000000000000000'... "
+            "(5001 characters)")):
+        Zmod(10 ** 5000 + 1).parse("1 mod 5")
+
+
 def test_parse_round_trip_zmod():
     z7 = Zmod(7)
     assert z7.parse("3 mod 7") == 3
