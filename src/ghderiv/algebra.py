@@ -7,9 +7,9 @@ Structure constants and element coordinates are raw ring values (``int``
 or ``Fraction`` over Q, ``int`` residues over Z/mZ; see ``ring``), coerced
 once when an algebra or element is built from outside input.
 ``sc`` is what documents, equality and hashing see.  Every computation
-(products, validation, centers, maps, identity checks, linear systems)
-reads the product through one sparse view of it, ``_pair_table``, which
-lists the nonzero ``(k, c)`` of each basis product ``e_i * e_j``.  The
+(products, validation, maps, identity checks, linear systems) reads the
+product through one sparse view of it, ``_pair_table``, which lists the
+nonzero ``(k, c)`` of each basis product ``e_i * e_j``.  The
 product is bilinear, so checking a bilinear identity on all ordered basis
 pairs checks it on the whole algebra.
 
@@ -33,8 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ring import _SHOWN_CHARS, MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, array
-from . import _linalg
+from .ring import MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, _shown_number, array
 
 __all__ = [
     "StructureAlgebra",
@@ -51,7 +50,6 @@ __all__ = [
     "jordan_product",
     "validate",
     "is_commutative",
-    "center_basis",
     "triangle_positions",
     "algebra_to_doc",
     "algebra_from_doc",
@@ -241,11 +239,18 @@ def jordan_product(a: AlgElement, b: AlgElement) -> AlgElement:
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(dim: int, what: str) -> None:
-    """Refuse an algebra whose table would exceed MAX_DIM^3 constants."""
+def _check_dim(dim: int, what: str, *sizes: int) -> None:
+    """Refuse an algebra whose table would exceed MAX_DIM^3 constants.
+
+    ``what`` names the algebra, with a ``{}`` for each of ``sizes``.  The
+    name is built only once the size is refused, and each number in the
+    message is shown, shortened when long, by ``_shown_number``, which
+    never turns a long int into text.
+    """
     if dim > MAX_DIM:
-        what, dim = (t if len(t) <= _SHOWN_CHARS else _shown(t) for t in (what, str(dim)))
-        raise ValueError(f"{what} would have dimension {dim}, over the limit of {MAX_DIM}")
+        what = what.format(*map(_shown_number, sizes))
+        raise ValueError(f"{what} would have dimension {_shown_number(dim)}, "
+                         f"over the limit of {MAX_DIM}")
 
 
 def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
@@ -273,7 +278,7 @@ def full_matrix(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = n * n
-    _check_dim(dim, f"mn{n}")
+    _check_dim(dim, "mn{}", n)
     idx = lambda i, j: i * n + j
     entries = {}
     for a, b, c, d in itertools.product(range(n), repeat=4):
@@ -294,7 +299,7 @@ def upper_triangular(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     """The algebra of upper triangular n x n matrices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_dim(n * (n + 1) // 2, f"tn{n}")
+    _check_dim(n * (n + 1) // 2, "tn{}", n)
     positions = triangle_positions(n)
     pos_index = {p: k for k, p in enumerate(positions)}
     dim = len(positions)
@@ -337,7 +342,7 @@ def tensor_product(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
         raise NonFieldRing("tensor products are built over Q only")
     db = b.dim
     dim = a.dim * db
-    _check_dim(dim, f"a tensor product of dimensions {a.dim} and {db}")
+    _check_dim(dim, "a tensor product of dimensions {} and {}", a.dim, db)
     entries = {}
     for i in range(a.dim):
         for k in range(a.dim):
@@ -372,7 +377,7 @@ def truncated_poly(a: StructureAlgebra, degree: int) -> StructureAlgebra:
         raise ValueError("degree must be >= 0")
     d = a.dim
     dim = d * (degree + 1)
-    _check_dim(dim, f"a degree-{degree} polynomial algebra over dimension {d}")
+    _check_dim(dim, "a degree-{} polynomial algebra over dimension {}", degree, d)
     entries = {}
     for s in range(degree + 1):
         for t in range(degree + 1):
@@ -450,37 +455,6 @@ def is_commutative(alg: StructureAlgebra) -> bool:
             if alg.sc[i][j] != alg.sc[j][i]:
                 return False
     return True
-
-
-def center_basis(alg: StructureAlgebra) -> list[AlgElement]:
-    """Canonical basis of the center {x : xe_i = e_ix for all i}.
-
-    Needs a field-like ring (Q or prime modulus) for the elimination;
-    composite moduli raise CompositeModulusUnsupported.
-    """
-    ring = alg.ring
-    d = alg.dim
-    table = alg._pair_table
-    rows = []
-    for i in range(d):
-        # Row m states coordinate m of x e_i - e_i x = 0, in the unknowns x_l.
-        comm = [{} for _ in range(d)]
-        for l in range(d):
-            for m, c in table[l][i]:
-                comm[m][l] = comm[m].get(l, 0) + c
-            for m, c in table[i][l]:
-                comm[m][l] = comm[m].get(l, 0) - c
-        for row in comm:
-            row = {k: r for k, v in row.items() if (r := ring.reduce(v))}
-            if row:
-                rows.append(row)
-    out = []
-    for row in _linalg.kernel(rows, d, ring):
-        coords = [0] * d
-        for c, v in row.items():
-            coords[c] = v
-        out.append(AlgElement(alg, tuple(coords)))
-    return out
 
 
 # ---------------------------------------------------------------------------

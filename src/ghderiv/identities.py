@@ -5,11 +5,10 @@ templates relating f, g and h through products in the algebra.  The
 checkers here evaluate the table on elements; ``solver.build_system``
 compiles the same table into linear rows.
 
-This element interpreter is the reference evaluator, and the one that
-says where an identity fails: the CLI ``check`` command and the
-substitution certificate of ``solver.verify_space`` use it.  The compiled
-rows of ``solver.LinearSystem.evaluate`` answer only whether a triple
-holds, for many triples on one algebra.
+This element interpreter is the one evaluator: it says whether a triple
+holds and where it first fails.  The CLI ``check`` command, the catalog
+and the substitution certificate of ``solver.verify_space`` use it; the
+compiled rows are only ever solved.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;

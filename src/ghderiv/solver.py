@@ -23,13 +23,10 @@ Solving needs a field-like ring (Q or prime modulus): composite moduli
 raise CompositeModulusUnsupported.  The identity checkers keep working
 over composite moduli; only elimination is restricted.
 
-Rows are also an evaluator, and it answers one question: does a triple
-hold?  ``LinearSystem.evaluate`` flattens it into a sparse row (the one
-vector form here, ``triple_to_row``) and adds each entry into the rows of
-its column, constraint rows included.  It is the triple-level form of
-``verify_space``'s substitution certificate, which runs the same test on
-each canonical row.  Where a triple fails is the question of
-``identities.check``.
+The rows are solved, never evaluated: whether a triple holds is the
+question of ``identities.check``, which ``verify_space`` asks of each
+basis triple.  A triple lies in a solved space iff ``space_member`` says
+so; the solver's one vector form is the sparse row of ``triple_to_row``.
 """
 
 from __future__ import annotations
@@ -38,11 +35,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from . import _linalg
 from .ring import RingMismatch
-from .algebra import AlgebraMismatch, StructureAlgebra
+from .algebra import StructureAlgebra
 from .linmap import LinMap, MapTriple
 from . import identities
 from .identities import IdentityKind
@@ -117,23 +113,6 @@ def row_to_triple(alg: StructureAlgebra, row: dict) -> MapTriple:
     return MapTriple(*(LinMap(alg, tuple(map(tuple, m))) for m in mats))
 
 
-def _column_index(rows) -> dict:
-    """Index a stream of sparse rows by column: column -> (row ids, values).
-
-    Row ids are numbered in stream order and kept in an ``array``, the
-    values beside them in a list; the rows themselves are not kept.
-    """
-    index: dict = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            entry = index.get(c)
-            if entry is None:
-                entry = index[c] = (array("l"), [])
-            entry[0].append(r)
-            entry[1].append(v)
-    return index
-
-
 def _text_rows(rows, ncols: int, fmt) -> list:
     """Sparse rows as dense lists of length ``ncols`` of text forms; the
     text of 0 is formatted once and shared."""
@@ -178,39 +157,6 @@ class LinearSystem:
             "ncols": self.ncols,
             "rows": lines,
         }
-
-    @cached_property
-    def _index(self) -> dict:
-        return _column_index(self.rows)
-
-    def _kills(self, row: dict) -> bool:
-        """Does the sparse row, a flattened triple, kill every stored row?
-
-        Each entry of ``row`` is added into the rows of its column only,
-        read through the column index built on first use, so the cost is
-        the number of index entries in the columns ``row`` holds.  A
-        positive multiple of ``row`` kills the same rows over Q, so its
-        denominators are cleared first and the sums are int sums; residues
-        over Z/m are ints, whose denominators are 1, and stay as they are.
-        """
-        scale = lcm(*(x.denominator for x in row.values()))
-        if scale != 1:
-            row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
-        index, acc = self._index, {}
-        get = acc.get
-        for c, x in row.items():
-            if c in index:
-                ids, vals = index[c]
-                for r, v in zip(ids, vals):
-                    acc[r] = get(r, 0) + v * x
-        return not any(map(self.alg.ring.reduce, acc.values()))
-
-    def evaluate(self, t: MapTriple) -> bool:
-        """Substitution check: does the triple kill every row, constraint
-        rows included?"""
-        if not t.alg == self.alg:
-            raise AlgebraMismatch("triple and system live on different algebras")
-        return self._kills(triple_to_row(t))
 
 
 def _emit_identity_rows(alg: StructureAlgebra, kind: IdentityKind):
@@ -404,24 +350,24 @@ def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
 def verify_space(space: SolutionSpace) -> bool:
     """Three certificates for a computed solution space.
 
-    1. substitution: every basis triple passes the identity checker and
-       the extra constraints, and its canonical row, the flattened triple,
-       kills every row of a freshly rebuilt system: span(canonical) lies
-       in the nullspace;
-    2. rank-nullity: dim equals 3d^2 minus the rank of that system, which
-       one ``_linalg.rref`` takes under a seeded random row and column
-       permutation: the nullspace has dimension dim;
+    1. substitution: every basis triple passes the identity checker, the
+       element interpreter of ``identities``, and the extra constraints:
+       span(canonical) lies in the solution set;
+    2. rank-nullity: dim equals 3d^2 minus the rank of a freshly rebuilt
+       system, which one ``_linalg.rref`` takes under a seeded random row
+       and column permutation: the solution set has dimension dim;
     3. shape: a scan of the stored nonzeros finds ``canonical`` a reduced
        echelon matrix.  Each row's smallest column is its pivot and holds
        1, the pivots strictly ascend, no row holds another row's pivot
        column, and every value is nonzero and its own ``ring.reduce``.  So
        the rows are independent and in the normal form of ``ring``.
 
-    Together: ``canonical`` spans the nullspace, and it is that space's
+    Together: ``canonical`` spans the solution set, and it is that space's
     unique reduced echelon form, as ``nullspace`` would store it.  Only
-    certificate 2 shares ``_linalg`` with the solver.  None proves that
-    the compiled rows state the identity; ``tests/test_check_paths.py``
-    pins that.
+    certificate 2 shares code with the solver: the compiled rows and
+    ``_linalg``.  It rests on one premise no certificate proves, that the
+    compiled rows state exactly the identity and the constraints;
+    ``tests/test_check_paths.py`` pins that.
     """
     reduce = space.alg.ring.reduce
     pivots = [min(row, default=-1) for row in space.canonical]
@@ -436,8 +382,6 @@ def verify_space(space: SolutionSpace) -> bool:
         if not identities.check(space.kind, t).holds:
             return False
         if not _constraints_hold(space, t):
-            return False
-        if not system._kills(row):
             return False
     rng = random.Random(_PERMUTATION_SEED)
     cols = list(range(system.ncols))

@@ -136,12 +136,10 @@ def test_verify_space_accepts_honest_spaces(solved):
 
 def _passes_substitution_and_rank(sp):
     """Certificates 1 and 2 of verify_space alone: every basis triple passes
-    the checker, every canonical row kills the rebuilt system, and dim is
-    3d^2 minus that system's rank."""
+    the checker, and dim is 3d^2 minus the rebuilt system's rank."""
     system = build_system(sp.alg, sp.kind, sp.constraints)
     rank = len(_linalg.rref(system.rows, sp.alg.ring)[0])
-    return sp.rank == rank and all(check(sp.kind, t).holds and system._kills(row)
-                                   for row, t in zip(sp.canonical, sp.basis))
+    return sp.rank == rank and all(check(sp.kind, t).holds for t in sp.basis)
 
 
 def test_verify_space_rejects_tampering(solved):
@@ -551,45 +549,43 @@ def _random_triple(alg, rng):
 
 def test_system_evaluate(solved):
     """The compiled rows and the checker read one identity table, so for
-    every kind they agree on solutions and on random triples that fail;
-    a constrained system also reads its constraint rows."""
+    every kind a solved space holds exactly the triples the checker
+    passes, solutions and random triples that fail alike; a constrained
+    space also honours its constraint rows."""
     sp = solved("tn2", LGH)
-    sys = build_system(sp.alg, LGH)
     for t in sp.basis:
-        assert sys.evaluate(t)
-    assert not sys.evaluate(MapTriple(*[LinMap.identity(sp.alg)] * 3))
+        assert space_member(sp, t)
+    assert not space_member(sp, MapTriple(*[LinMap.identity(sp.alg)] * 3))
     rng = random.Random(2024)
     for kind in IdentityKind:
         failing = 0
         for spec, ring in (("tn2", QQ), ("mn2", QQ), ("quat", QQ), ("ring", Zmod(5)),
                            ("poly(ring,1)", QQ)):
             sp = solved(spec, kind, ring=ring)
-            sys = build_system(sp.alg, kind)
-            constrained = build_system(sp.alg, kind, Constraints(force_f_zero=True))
+            constrained = solved(spec, kind, Constraints(force_f_zero=True), ring=ring)
             holding = list(sp.basis)
             if sp.dim:
                 holding.append(sp.combination([rng.randint(-5, 5) for _ in range(sp.dim)]))
             for t in holding:
-                assert sys.evaluate(t) and check(kind, t).holds, (spec, kind)
-                assert constrained.evaluate(t) is t.f.is_zero(), (spec, kind)
+                assert space_member(sp, t) and check(kind, t).holds, (spec, kind)
+                assert space_member(constrained, t) is t.f.is_zero(), (spec, kind)
             for _ in range(4):
                 t = _random_triple(sp.alg, rng)
                 report = check(kind, t)
-                assert sys.evaluate(t) == report.holds, (spec, kind)
-                assert not constrained.evaluate(t) or report.holds, (spec, kind)
+                assert space_member(sp, t) == report.holds, (spec, kind)
+                assert not space_member(constrained, t) or report.holds, (spec, kind)
                 failing += not report.holds
         assert failing, f"no random triple fails {kind.value}"
 
 
 def test_check_ignores_constraint_rows(solved):
-    """An unconstrained system answers for the identity alone; a
-    constrained one also reads the constraint rows, which come after the
-    identity rows."""
+    """An unconstrained space answers for the identity alone; a
+    constrained one also honours the constraint rows."""
     sp = solved("tn2", LGH)
     t = next(t for t in sp.basis if not t.f.is_zero())
-    sys = build_system(sp.alg, LGH, Constraints(force_f_zero=True))
-    assert build_system(sp.alg, LGH).evaluate(t)
-    assert not sys.evaluate(t)
+    assert check(LGH, t).holds
+    assert space_member(sp, t)
+    assert not space_member(solved("tn2", LGH, Constraints(force_f_zero=True)), t)
 
 
 def test_square_identity_system_row_count():
