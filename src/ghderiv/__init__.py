@@ -38,11 +38,9 @@ from .linmap import (
     map_from_doc,
     map_to_doc,
     mn_jordan_family,
-    poly_lift,
     poly_lift_triple,
     quat_jordan_family,
     right_mul_map,
-    tensor_extend,
     tensor_extend_triple,
     tn_jordan_family,
     tn_left_family,
@@ -59,14 +57,6 @@ from .identities import (
     check,
     decompose_left_gh,
     identity_sides,
-    is_derivation,
-    is_gh_derivation,
-    is_jordan_derivation,
-    is_jordan_left_gh_derivation,
-    is_left_centralizer,
-    is_left_derivation,
-    is_left_gh_derivation,
-    is_right_centralizer,
 )
 from .solver import (
     Constraints,

@@ -61,6 +61,9 @@ __all__ = [
 
 JLGH = IdentityKind.JORDAN_LEFT_GH
 LGH = IdentityKind.LEFT_GH
+GH = IdentityKind.GH_DERIVATION
+LEFT_CENT = IdentityKind.LEFT_CENTRALIZER
+RIGHT_CENT = IdentityKind.RIGHT_CENTRALIZER
 
 
 class CheckFailed(AssertionError):
@@ -279,8 +282,8 @@ def _sides(kind, t, a, b):
 
 def _check_z4(t):
     a = t.alg
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
-    rep = ident.is_left_gh_derivation(t)
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
+    rep = ident.check(LGH, t)
     require(not rep.holds, "one-sided identity unexpectedly holds")
     ce = rep.counterexample
     require((ce.i, ce.j) == (0, 0), f"counterexample pair {(ce.i, ce.j)}")
@@ -301,8 +304,8 @@ def _check_t2_left_not_two_sided(t):
     t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     # Right-multiplication variant: the separation works.
-    require(ident.is_left_gh_derivation(t).holds, "one-sided identity fails")
-    rep = ident.is_gh_derivation(t)
+    require(ident.check(LGH, t).holds, "one-sided identity fails")
+    rep = ident.check(GH, t)
     require(not rep.holds, "two-sided form unexpectedly holds")
     ce = rep.counterexample
     require((ce.i, ce.j) == (0, 1), f"counterexample pair {(ce.i, ce.j)}")
@@ -311,12 +314,12 @@ def _check_t2_left_not_two_sided(t):
     # but the one-sided identity fails too, at (e11, e12).
     gl = left_mul_map(e11)
     tl = MapTriple(LinMap.zero(t2), gl, -gl)
-    repl = ident.is_gh_derivation(tl)
+    repl = ident.check(GH, tl)
     require(not repl.holds, "left-mult two-sided form unexpectedly holds")
     cel = repl.counterexample
     require((cel.i, cel.j) == (1, 2), f"left-mult counterexample {(cel.i, cel.j)}")
     require(cel.rhs == e12 and cel.lhs.is_zero(), "left-mult witness is not e12 vs 0")
-    repll = ident.is_left_gh_derivation(tl)
+    repll = ident.check(LGH, tl)
     require(not repll.holds, "left-mult one-sided identity unexpectedly holds")
     cell = repll.counterexample
     require((cell.i, cell.j) == (0, 1), f"one-sided failure at {(cell.i, cell.j)}")
@@ -331,8 +334,8 @@ def _check_t2_left_not_two_sided(t):
 
 def _check_t2_two_sided_not_left(t):
     t2 = t.alg
-    require(ident.is_gh_derivation(t).holds, "two-sided form fails")
-    rep = ident.is_left_gh_derivation(t)
+    require(ident.check(GH, t).holds, "two-sided form fails")
+    rep = ident.check(LGH, t)
     require(not rep.holds, "one-sided identity unexpectedly holds")
     lhs, rhs = _sides(LGH, t, t2.basis_element(0), t2.basis_element(2))
     require(lhs.is_zero(), f"lhs {lhs}")
@@ -349,8 +352,8 @@ def _check_t2_jordan_not_left(t):
         t.f == want_f and t.g == want_g and t.h == want_h,
         "family output differs from the frozen matrices",
     )
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
-    require(not ident.is_left_gh_derivation(t).holds, "one-sided unexpectedly holds")
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
+    require(not ident.check(LGH, t).holds, "one-sided unexpectedly holds")
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     lhs, rhs = _sides(LGH, t, e12, e11)
     require(lhs.is_zero(), f"lhs {lhs}")
@@ -368,11 +371,11 @@ def _check_t2_left_nonzero(t):
     t2 = t.alg
     want_f = LinMap.from_rows(t2, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
     require(t.f == want_f, "family output differs from the frozen matrix")
-    require(ident.is_left_gh_derivation(t).holds, "one-sided identity fails")
-    require(not ident.is_gh_derivation(t).holds, "two-sided form unexpectedly holds")
+    require(ident.check(LGH, t).holds, "one-sided identity fails")
+    require(not ident.check(GH, t).holds, "two-sided form unexpectedly holds")
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     b = e11 + e12
-    lhs, rhs = _sides(IdentityKind.GH_DERIVATION, t, e11, b)
+    lhs, rhs = _sides(GH, t, e11, b)
     require(lhs == b, f"lhs {lhs}")
     require(rhs == e11 + e12.scale(2), f"rhs {rhs}")
     return "pass", "nonzero one-sided solution; two-sided fails at (e11, e11+e12): e11+e12 vs e11+2e12"
@@ -380,13 +383,13 @@ def _check_t2_left_nonzero(t):
 
 def _check_t2_jordan_not_centralizer(t):
     t2 = t.alg
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
     want_f = LinMap.from_rows(t2, [[0, 0, 0], [1, -2, 0], [0, 0, -2]])
     require(t.f == want_f, "f differs from the frozen matrix")
     A = t2.element([1, 2, 3])
     B = t2.element([4, 5, 6])
     for m in (t.g, t.h, t.f):
-        require(not ident.is_left_centralizer(m).holds, "map is a left centralizer")
+        require(not ident.check(LEFT_CENT, MapTriple(m, m, m)).holds, "map is a left centralizer")
         require(m(A * B) != m(A) * B, "witness pair fails to separate")
     return "pass", "two-sided solution whose f, g, h all fail f(AB) = f(A)B at A=(1,2;0,3), B=(4,5;0,6)"
 
@@ -400,8 +403,8 @@ def _check_m2_jordan_not_left(t):
         m2, [[1, 3, 0, 0], [2, 4, 0, 0], [0, 0, 1, 3], [0, 0, 2, 4]]
     )
     require(t.f == want_f and t.g == want_g, "family differs from the frozen matrices")
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
-    require(not ident.is_left_gh_derivation(t).holds, "one-sided unexpectedly holds")
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
+    require(not ident.check(LGH, t).holds, "one-sided unexpectedly holds")
     e11, e12 = m2.basis_element(0), m2.basis_element(1)
     lhs, rhs = _sides(LGH, t, e12, e11)
     require(lhs.is_zero(), f"lhs {lhs}")
@@ -411,7 +414,7 @@ def _check_m2_jordan_not_left(t):
 
 def _check_m2_jordan_not_centralizer(t):
     m2 = t.alg
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
     alpha = t.g(m2.one())
     require(
         alpha == m2.element([1, -1, -1, 0]),
@@ -421,9 +424,9 @@ def _check_m2_jordan_not_centralizer(t):
     A = m2.element([1, 2, 3, 4])
     B = m2.element([5, 6, 7, 8])
     for m in (t.g, t.f):
-        require(not ident.is_left_centralizer(m).holds, "map is a left centralizer")
+        require(not ident.check(LEFT_CENT, MapTriple(m, m, m)).holds, "map is a left centralizer")
         require(m(A * B) != m(A) * B, "witness pair fails to separate")
-    require(ident.is_right_centralizer(t.g).holds, "g is not a right centralizer")
+    require(ident.check(RIGHT_CENT, MapTriple(t.g, t.g, t.g)).holds, "g is not a right centralizer")
     return "pass", "g = right mult by e11-e12-e21 (recovered by solving); not a left centralizer at A=(1,2;3,4), B=(5,6;7,8)"
 
 
@@ -431,8 +434,8 @@ def _check_quat_doubling(t):
     q = t.alg
     require(t.f == LinMap.identity(q).scale(2), "f is not doubling")
     require(t.g == LinMap.identity(q), "g is not the identity")
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
-    rep = ident.is_left_gh_derivation(t)
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
+    rep = ident.check(LGH, t)
     require(not rep.holds, "one-sided identity unexpectedly holds")
     ce = rep.counterexample
     require((ce.i, ce.j) == (1, 2), f"counterexample pair {(ce.i, ce.j)}")
@@ -449,9 +452,9 @@ def _check_quat_not_left_centralizer(t):
         [[1, 2, 3, 4], [-2, 1, -4, 3], [-3, 4, 1, -2], [-4, -3, 2, 1]],
     )
     require(t.g == want_g, "g differs from the frozen matrix")
-    require(ident.is_jordan_left_gh_derivation(t).holds, "two-sided identity fails")
-    require(ident.is_right_centralizer(t.g).holds, "g is not a right centralizer")
-    require(not ident.is_left_centralizer(t.g).holds, "g is a left centralizer")
+    require(ident.check(JLGH, t).holds, "two-sided identity fails")
+    require(ident.check(RIGHT_CENT, MapTriple(t.g, t.g, t.g)).holds, "g is not a right centralizer")
+    require(not ident.check(LEFT_CENT, MapTriple(t.g, t.g, t.g)).holds, "g is a left centralizer")
     p = q.element([5, 6, 7, 8])
     r = q.element([9, 10, 11, 12])
     require(t.g(p * r) != t.g(p) * r, "g witness pair fails to separate")
@@ -516,7 +519,7 @@ def _run_rightcent(specs):
             for t in sp.basis:
                 for m in (t.f, t.g, t.h):
                     require(
-                        ident.is_right_centralizer(m).holds,
+                        ident.check(RIGHT_CENT, MapTriple(m, m, m)).holds,
                         f"basis map on {spec} is not a right centralizer",
                     )
                     total += 1
@@ -553,7 +556,7 @@ def _run_tensor_transfer(aname, sname):
         for t in ja.basis:
             ext = tensor_extend_triple(t, s)
             require(
-                ident.is_jordan_left_gh_derivation(ext).holds,
+                ident.check(JLGH, ext).holds,
                 "extended triple fails the two-sided identity",
             )
             require(solver.space_member(jp, ext), "extended triple left the space")

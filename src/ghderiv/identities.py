@@ -1,9 +1,11 @@
-"""The identity table, and checkers that evaluate it on map triples.
+"""The identity table, and the one checker that evaluates it on map triples.
 
 Each identity kind is written once, as data, in ``IDENTITIES``: equation
-templates relating f, g and h through products in the algebra.  The
-checkers here evaluate the table on elements; ``solver.build_system``
-compiles the same table into linear rows.
+templates relating f, g and h through products in the algebra.
+``check(kind, t)`` evaluates the table on elements; ``solver.build_system``
+compiles the same table into linear rows.  The single-map kinds
+(derivations, left derivations, centralizers) read only f, so a map m is
+checked as ``check(kind, MapTriple(m, m, m))``.
 
 This element interpreter is the one evaluator: it says whether a triple
 holds and where it first fails.  The CLI ``check`` command, the catalog
@@ -12,9 +14,8 @@ compiled rows are only ever solved.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;
-checkers scan every pair in lexicographic order and report the first
-failure exactly as computed, never normalized.  One evaluator serves
-them all.  It works on sparse coordinates: each map is read once as its
+``check`` scans every pair in lexicographic order and reports the first
+failure exactly as computed, never normalized.  It works on sparse coordinates: each map is read once as its
 nonzero columns, each product off the algebra's ``_pair_table``, and
 each side is a {coordinate: nonzero value} dict, turned into elements
 only where they are returned or reported.  Arguments other than basis
@@ -49,14 +50,6 @@ __all__ = [
     "PreconditionFailed",
     "check",
     "identity_sides",
-    "is_derivation",
-    "is_jordan_derivation",
-    "is_left_derivation",
-    "is_gh_derivation",
-    "is_left_gh_derivation",
-    "is_jordan_left_gh_derivation",
-    "is_left_centralizer",
-    "is_right_centralizer",
     "LeftGHDecomposition",
     "decompose_left_gh",
     "audit_doubled_substitution",
@@ -275,54 +268,6 @@ def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
     return CheckReport(True)
 
 
-def _single(map_or_triple) -> MapTriple:
-    if isinstance(map_or_triple, MapTriple):
-        return map_or_triple
-    if isinstance(map_or_triple, LinMap):
-        return MapTriple(map_or_triple, map_or_triple, map_or_triple)
-    raise TypeError(f"expected a map or triple, got {map_or_triple!r}")
-
-
-def is_derivation(d: LinMap) -> CheckReport:
-    """D(ab) = D(a)b + aD(b) on all ordered basis pairs."""
-    return check(IdentityKind.DERIVATION, _single(d))
-
-
-def is_jordan_derivation(d: LinMap) -> CheckReport:
-    """D(a^2) = D(a)a + aD(a), via basis squares plus the polarized form."""
-    return check(IdentityKind.JORDAN_DERIVATION, _single(d))
-
-
-def is_left_derivation(d: LinMap) -> CheckReport:
-    """D(ab) = aD(b) + bD(a) on all ordered basis pairs."""
-    return check(IdentityKind.LEFT_DERIVATION, _single(d))
-
-
-def is_gh_derivation(t: MapTriple) -> CheckReport:
-    """f(ab) = g(a)b + ah(b) = h(a)b + ag(b), both equalities."""
-    return check(IdentityKind.GH_DERIVATION, t)
-
-
-def is_left_gh_derivation(t: MapTriple) -> CheckReport:
-    """f(ab) = ag(b) + bh(a) = ah(b) + bg(a), both equalities."""
-    return check(IdentityKind.LEFT_GH, t)
-
-
-def is_jordan_left_gh_derivation(t: MapTriple) -> CheckReport:
-    """f(ab + ba) = 2(ag(b) + bh(a)) with the factor 2 kept explicit."""
-    return check(IdentityKind.JORDAN_LEFT_GH, t)
-
-
-def is_left_centralizer(f: LinMap) -> CheckReport:
-    """f(ab) = f(a)b on all ordered basis pairs."""
-    return check(IdentityKind.LEFT_CENTRALIZER, _single(f))
-
-
-def is_right_centralizer(f: LinMap) -> CheckReport:
-    """f(ab) = af(b) on all ordered basis pairs."""
-    return check(IdentityKind.RIGHT_CENTRALIZER, _single(f))
-
-
 # ---------------------------------------------------------------------------
 # structure of one-sided solutions
 # ---------------------------------------------------------------------------
@@ -361,11 +306,12 @@ def decompose_left_gh(t: MapTriple) -> LeftGHDecomposition:
     lam = t.g(one) + t.h(one)
     l_lam = left_mul_map(lam)
     d = t.f - l_lam
+    d_left = check(IdentityKind.LEFT_DERIVATION, MapTriple(d, d, d)).holds
     return LeftGHDecomposition(
         lam=lam,
         lam_central=l_lam == right_mul_map(lam),
         d=d,
-        d_is_left_derivation=is_left_derivation(d).holds,
+        d_is_left_derivation=d_left,
     )
 
 

@@ -10,9 +10,9 @@ families for the triangular, full matrix and quaternion algebras, each as
 right multiplications R_x: y -> y * x (``right_mul_map``): the T_n
 families are (R_G + R_H, R_G, R_H) and the others (2 R_alpha, R_alpha,
 R_alpha).  Documents always carry their algebra, inline or as a spec
-string, and a loaded algebra is always validated.  ``poly_lift`` and
-``tensor_extend`` transport maps into truncated polynomial and tensor
-product algebras.
+string, and a loaded algebra is always validated.  ``poly_lift_triple``
+and ``tensor_extend_triple`` transport a triple into a truncated
+polynomial or tensor product algebra, built once for all three maps.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ __all__ = [
     "tn_left_family",
     "mn_jordan_family",
     "quat_jordan_family",
-    "poly_lift",
     "poly_lift_triple",
-    "tensor_extend",
     "tensor_extend_triple",
     "map_to_doc",
     "map_from_doc",
@@ -291,12 +289,6 @@ def quat_jordan_family(alpha: AlgElement) -> MapTriple:
 # ---------------------------------------------------------------------------
 
 
-def poly_lift(f: LinMap, degree: int) -> LinMap:
-    """Degreewise lift to the truncated polynomial algebra:
-    e_i x^t -> f(e_i) x^t."""
-    return _lift_into(truncated_poly(f.alg, degree), f)
-
-
 def poly_lift_triple(t: MapTriple, degree: int) -> MapTriple:
     """Lift all three maps into one truncated polynomial algebra instance."""
     lifted = truncated_poly(t.alg, degree)
@@ -304,8 +296,8 @@ def poly_lift_triple(t: MapTriple, degree: int) -> MapTriple:
 
 
 def _lift_into(lifted: StructureAlgebra, f: LinMap) -> LinMap:
-    """``poly_lift`` into ``lifted``, a truncated polynomial algebra over
-    f's algebra, built by the caller."""
+    """The degreewise lift e_i x^t -> f(e_i) x^t of f into ``lifted``, a
+    truncated polynomial algebra over f's algebra, built by the caller."""
     d = f.alg.dim
     cols = []
     for t in range(lifted.dim // d):
@@ -316,11 +308,6 @@ def _lift_into(lifted: StructureAlgebra, f: LinMap) -> LinMap:
     return LinMap(lifted, tuple(zip(*cols)))
 
 
-def tensor_extend(f: LinMap, s: StructureAlgebra) -> LinMap:
-    """The map f (x) id on the tensor product of f's algebra with s."""
-    return _extend_into(tensor_product(f.alg, s), f)
-
-
 def tensor_extend_triple(t: MapTriple, s: StructureAlgebra) -> MapTriple:
     """Extend all three maps into one tensor product algebra instance."""
     prod = tensor_product(t.alg, s)
@@ -328,7 +315,7 @@ def tensor_extend_triple(t: MapTriple, s: StructureAlgebra) -> MapTriple:
 
 
 def _extend_into(prod: StructureAlgebra, f: LinMap) -> LinMap:
-    """``tensor_extend`` into ``prod``, the tensor product of f's algebra
+    """The map f (x) id on ``prod``, the tensor product of f's algebra
     with a second factor, built by the caller."""
     a = f.alg
     ds = prod.dim // a.dim

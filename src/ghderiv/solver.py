@@ -3,7 +3,8 @@
 Any identity kind compiles into a homogeneous linear system over the
 3d^2 unknown matrix entries of (f, g, h).  The compiler reads each kind
 from the identity table in ``identities`` (through ``templates_at``), the
-same table the checkers evaluate, so rows and checkers state one identity.
+same table ``identities.check`` evaluates, so rows and checker state one
+identity.
 Unknown order is fixed: the f block, then g, then h; inside a block,
 column-major (all coordinates of the image of e_0, then of e_1, ...).
 The row layout is the fixed order (i, j, coordinate, template) over
@@ -20,7 +21,7 @@ layout and pivot order fixed, the reduced echelon form of the solution
 space is unique, so solution spaces can be compared by comparing matrices.
 
 Solving needs a field-like ring (Q or prime modulus): composite moduli
-raise CompositeModulusUnsupported.  The identity checkers keep working
+raise CompositeModulusUnsupported.  ``identities.check`` keeps working
 over composite moduli; only elimination is restricted.
 
 The rows are solved, never evaluated: whether a triple holds is the

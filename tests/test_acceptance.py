@@ -13,6 +13,8 @@ from ghderiv import IdentityKind
 JLGH = IdentityKind.JORDAN_LEFT_GH
 LGH = IdentityKind.LEFT_GH
 GH = IdentityKind.GH_DERIVATION
+LEFT_CENT = IdentityKind.LEFT_CENTRALIZER
+RIGHT_CENT = IdentityKind.RIGHT_CENTRALIZER
 
 ALL_SPECS = ("tn2", "tn3", "tn4", "mn2", "mn3", "quat", "ring", "poly(ring,1)")
 
@@ -67,7 +69,7 @@ def test_criterion_4_right_centralizer_family(solved):
     for spec in ("tn2", "tn3", "tn4", "mn2", "mn3", "quat"):
         for t in solved(spec, JLGH).basis:
             for m in (t.f, t.g, t.h):
-                assert G.is_right_centralizer(m).holds
+                assert G.check(RIGHT_CENT, G.MapTriple(m, m, m)).holds
                 total += 1
     assert total == 3 * (5 + 9 + 14 + 4 + 9 + 4)
     print(
@@ -94,8 +96,8 @@ def test_criterion_5_worked_cases():
     # doubling on Z/4Z: two-sided holds, one-sided fails, 2 vs 4 = 0
     t = cases["case-z4-doubling"]
     alg = t.alg
-    assert G.is_jordan_left_gh_derivation(t).holds
-    rep = G.is_left_gh_derivation(t)
+    assert G.check(JLGH, t).holds
+    rep = G.check(LGH, t)
     assert not rep.holds
     ce = rep.counterexample
     assert (ce.i, ce.j) == (0, 0)
@@ -110,28 +112,28 @@ def test_criterion_5_worked_cases():
     t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     assert t.g == G.right_mul_map(e11)
-    assert G.is_left_gh_derivation(t).holds
-    rep = G.is_gh_derivation(t)
+    assert G.check(LGH, t).holds
+    rep = G.check(GH, t)
     assert not rep.holds
     ce = rep.counterexample
     assert (ce.i, ce.j) == (0, 1)
     assert ce.lhs.is_zero() and ce.rhs == e12
     gl = G.left_mul_map(e11)
     tl = G.MapTriple(G.LinMap.zero(t2), gl, -gl)
-    repl = G.is_gh_derivation(tl)
+    repl = G.check(GH, tl)
     assert not repl.holds
     cel = repl.counterexample
     assert (cel.i, cel.j) == (1, 2)
     assert cel.lhs.is_zero() and cel.rhs == e12
-    assert not G.is_left_gh_derivation(tl).holds
+    assert not G.check(LGH, tl).holds
 
     # x + (ax - xa) with a = (1,1;0,1): two-sided holds, one-sided fails
     # at (e11, e22) with right side e12
     t = cases["case-t2-two-sided-not-left"]
     t2 = t.alg
     e11, e12, e22 = (t2.basis_element(k) for k in range(3))
-    assert G.is_gh_derivation(t).holds
-    assert not G.is_left_gh_derivation(t).holds
+    assert G.check(GH, t).holds
+    assert not G.check(LGH, t).holds
     lhs, rhs = G.identity_sides(LGH, t, e11, e22)[0]
     assert lhs.is_zero() and rhs == e12
 
@@ -140,8 +142,8 @@ def test_criterion_5_worked_cases():
     t = cases["case-t2-jordan-not-left"]
     t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
-    assert G.is_jordan_left_gh_derivation(t).holds
-    assert not G.is_left_gh_derivation(t).holds
+    assert G.check(JLGH, t).holds
+    assert not G.check(LGH, t).holds
     lhs, rhs = G.identity_sides(LGH, t, e12, e11)[0]
     assert lhs.is_zero() and rhs == e12.scale(3)
 
@@ -151,8 +153,8 @@ def test_criterion_5_worked_cases():
     t2 = t.alg
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     assert not t.f.is_zero()
-    assert G.is_left_gh_derivation(t).holds
-    assert not G.is_gh_derivation(t).holds
+    assert G.check(LGH, t).holds
+    assert not G.check(GH, t).holds
     b = e11 + e12
     lhs, rhs = G.identity_sides(GH, t, e11, b)[0]
     assert lhs == b
@@ -161,10 +163,10 @@ def test_criterion_5_worked_cases():
     # two-sided solution on tn2 whose f, g, h all fail f(AB) = f(A)B
     t = cases["case-t2-jordan-not-centralizer"]
     t2 = t.alg
-    assert G.is_jordan_left_gh_derivation(t).holds
+    assert G.check(JLGH, t).holds
     A, B = t2.element([1, 2, 3]), t2.element([4, 5, 6])
     for m in (t.f, t.g, t.h):
-        assert not G.is_left_centralizer(m).holds
+        assert not G.check(LEFT_CENT, G.MapTriple(m, m, m)).holds
         assert m(A * B) != m(A) * B
 
     # full-matrix family at (1,2;3,4): one-sided fails at the stated pair
@@ -172,8 +174,8 @@ def test_criterion_5_worked_cases():
     t = cases["case-m2-jordan-not-left"]
     m2 = t.alg
     e11, e12 = m2.basis_element(0), m2.basis_element(1)
-    assert G.is_jordan_left_gh_derivation(t).holds
-    assert not G.is_left_gh_derivation(t).holds
+    assert G.check(JLGH, t).holds
+    assert not G.check(LGH, t).holds
     lhs, rhs = G.identity_sides(LGH, t, e12, e11)[0]
     assert lhs.is_zero()
     assert rhs == e11.scale(3) + e12.scale(4)
@@ -182,19 +184,19 @@ def test_criterion_5_worked_cases():
     # left one, and f = 2g is not one either
     t = cases["case-m2-jordan-not-centralizer"]
     m2 = t.alg
-    assert G.is_jordan_left_gh_derivation(t).holds
+    assert G.check(JLGH, t).holds
     assert t.g == G.right_mul_map(m2.element([1, -1, -1, 0]))
-    assert G.is_right_centralizer(t.g).holds
-    assert not G.is_left_centralizer(t.g).holds
-    assert not G.is_left_centralizer(t.f).holds
+    assert G.check(RIGHT_CENT, G.MapTriple(t.g, t.g, t.g)).holds
+    assert not G.check(LEFT_CENT, G.MapTriple(t.g, t.g, t.g)).holds
+    assert not G.check(LEFT_CENT, G.MapTriple(t.f, t.f, t.f)).holds
 
     # doubling on the quaternions: two-sided holds, one-sided fails at
     # (i, j) where f(k) = 2k while the right side is 0
     t = cases["case-quat-doubling"]
     q = t.alg
     assert t.f == G.LinMap.identity(q).scale(2)
-    assert G.is_jordan_left_gh_derivation(t).holds
-    rep = G.is_left_gh_derivation(t)
+    assert G.check(JLGH, t).holds
+    rep = G.check(LGH, t)
     assert not rep.holds
     ce = rep.counterexample
     assert (ce.i, ce.j) == (1, 2)
@@ -204,10 +206,10 @@ def test_criterion_5_worked_cases():
     # right mult by 1 + 2i + 3j + 4k: right centralizer, not left
     t = cases["case-quat-right-not-left-centralizer"]
     q = t.alg
-    assert G.is_jordan_left_gh_derivation(t).holds
+    assert G.check(JLGH, t).holds
     assert t.g == G.right_mul_map(q.element([1, 2, 3, 4]))
-    assert G.is_right_centralizer(t.g).holds
-    assert not G.is_left_centralizer(t.g).holds
+    assert G.check(RIGHT_CENT, G.MapTriple(t.g, t.g, t.g)).holds
+    assert not G.check(LEFT_CENT, G.MapTriple(t.g, t.g, t.g)).holds
     p, r = q.element([5, 6, 7, 8]), q.element([9, 10, 11, 12])
     assert t.g(p * r) != t.g(p) * r
 

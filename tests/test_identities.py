@@ -36,17 +36,15 @@ from ghderiv.identities import (
     check,
     decompose_left_gh,
     identity_sides,
-    is_derivation,
-    is_gh_derivation,
-    is_jordan_derivation,
-    is_jordan_left_gh_derivation,
-    is_left_centralizer,
-    is_left_derivation,
-    is_left_gh_derivation,
-    is_right_centralizer,
     templates_at,
 )
 from ghderiv.catalog import worked_cases
+
+JLGH = IdentityKind.JORDAN_LEFT_GH
+LGH = IdentityKind.LEFT_GH
+GH = IdentityKind.GH_DERIVATION
+LEFT_CENT = IdentityKind.LEFT_CENTRALIZER
+RIGHT_CENT = IdentityKind.RIGHT_CENTRALIZER
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +82,8 @@ def test_z4_doubling_two_sided_but_not_one_sided():
     a = ring_as_algebra(Zmod(4))
     f = LinMap.from_rows(a, [[2]])
     t = MapTriple(f, f, f)
-    assert is_jordan_left_gh_derivation(t).holds
-    rep = is_left_gh_derivation(t)
+    assert check(JLGH, t).holds
+    rep = check(LGH, t)
     assert not rep.holds
     ce = rep.counterexample
     assert (ce.i, ce.j) == (0, 0)
@@ -112,8 +110,8 @@ def test_one_sided_without_two_sided(cases):
     e12 = t2.basis_element(1)
     t = cases["case-t2-left-not-two-sided"]
     assert t.g == right_mul_map(t2.basis_element(0))
-    assert is_left_gh_derivation(t).holds
-    rep = is_gh_derivation(t)
+    assert check(LGH, t).holds
+    rep = check(GH, t)
     assert not rep.holds
     assert (rep.counterexample.i, rep.counterexample.j) == (0, 1)
     assert rep.counterexample.lhs.is_zero()
@@ -128,12 +126,12 @@ def test_left_multiplication_variant_fails_both_forms():
     e12 = t2.basis_element(1)
     g = left_mul_map(t2.basis_element(0))
     t = MapTriple(LinMap.zero(t2), g, -g)
-    rep = is_gh_derivation(t)
+    rep = check(GH, t)
     assert not rep.holds
     assert (rep.counterexample.i, rep.counterexample.j) == (1, 2)
     assert rep.counterexample.lhs.is_zero()
     assert rep.counterexample.rhs == e12
-    rep1 = is_left_gh_derivation(t)
+    rep1 = check(LGH, t)
     assert not rep1.holds
     assert (rep1.counterexample.i, rep1.counterexample.j) == (0, 1)
     assert rep1.counterexample.rhs == e12
@@ -142,8 +140,8 @@ def test_left_multiplication_variant_fails_both_forms():
 def test_two_sided_without_one_sided(cases):
     t2 = upper_triangular(2)
     t = cases["case-t2-two-sided-not-left"]
-    assert is_gh_derivation(t).holds
-    assert not is_left_gh_derivation(t).holds
+    assert check(GH, t).holds
+    assert not check(LGH, t).holds
     # Direct evaluation at (e11, e22): lhs f(0) = 0, rhs comes out to e12.
     lhs, rhs = identity_sides(
         IdentityKind.LEFT_GH, t, t2.basis_element(0), t2.basis_element(2)
@@ -155,8 +153,8 @@ def test_two_sided_without_one_sided(cases):
 def test_jordan_family_not_one_sided(cases):
     t = cases["case-t2-jordan-not-left"]
     t2 = t.alg
-    assert is_jordan_left_gh_derivation(t).holds
-    rep = is_left_gh_derivation(t)
+    assert check(JLGH, t).holds
+    rep = check(LGH, t)
     assert not rep.holds
     # Lexicographically first failure: (e11, e12), f(e12) = 6e12 against
     # e11 g(e12) + e12 h(e11) = 3e12.
@@ -180,8 +178,8 @@ def test_nonzero_one_sided_solution(cases):
     t = cases["case-t2-left-nonzero"]
     t2 = t.alg
     assert not t.f.is_zero()
-    assert is_left_gh_derivation(t).holds
-    assert not is_gh_derivation(t).holds
+    assert check(LGH, t).holds
+    assert not check(GH, t).holds
     # The two-sided form breaks at (e11, e11 + e12): e11+e12 vs e11+2e12.
     e11, e12 = t2.basis_element(0), t2.basis_element(1)
     b = e11 + e12
@@ -193,11 +191,11 @@ def test_nonzero_one_sided_solution(cases):
 def test_jordan_solution_maps_need_not_be_centralizers(cases):
     t = cases["case-t2-jordan-not-centralizer"]
     t2 = t.alg
-    assert is_jordan_left_gh_derivation(t).holds
+    assert check(JLGH, t).holds
     A = t2.element([1, 2, 3])
     B = t2.element([4, 5, 6])
     for m in (t.f, t.g, t.h):
-        assert not is_left_centralizer(m).holds
+        assert not check(LEFT_CENT, MapTriple(m, m, m)).holds
         assert m(A * B) != m(A) * B
 
 
@@ -209,8 +207,8 @@ def test_jordan_solution_maps_need_not_be_centralizers(cases):
 def test_m2_family_not_one_sided(cases):
     t = cases["case-m2-jordan-not-left"]
     m2 = t.alg
-    assert is_jordan_left_gh_derivation(t).holds
-    assert not is_left_gh_derivation(t).holds
+    assert check(JLGH, t).holds
+    assert not check(LGH, t).holds
     e11, e12 = m2.basis_element(0), m2.basis_element(1)
     lhs, rhs = identity_sides(IdentityKind.LEFT_GH, t, e12, e11)[0]
     assert lhs.is_zero()
@@ -220,10 +218,10 @@ def test_m2_family_not_one_sided(cases):
 def test_m2_right_multiplication_not_left_centralizer(cases):
     t = cases["case-m2-jordan-not-centralizer"]
     m2 = t.alg
-    assert is_jordan_left_gh_derivation(t).holds
+    assert check(JLGH, t).holds
     assert t.g == right_mul_map(m2.element([1, -1, -1, 0]))
-    assert is_right_centralizer(t.g).holds
-    assert not is_left_centralizer(t.g).holds
+    assert check(RIGHT_CENT, MapTriple(t.g, t.g, t.g)).holds
+    assert not check(LEFT_CENT, MapTriple(t.g, t.g, t.g)).holds
     A = m2.element([1, 2, 3, 4])
     B = m2.element([5, 6, 7, 8])
     assert t.g(A * B) != t.g(A) * B
@@ -233,8 +231,8 @@ def test_quat_doubling(cases):
     t = cases["case-quat-doubling"]
     q = t.alg
     assert t.f == LinMap.identity(q).scale(2)
-    assert is_jordan_left_gh_derivation(t).holds
-    rep = is_left_gh_derivation(t)
+    assert check(JLGH, t).holds
+    rep = check(LGH, t)
     assert not rep.holds
     # First failure at (i, j): f(ij) = 2k but i*g(j) + j*g(i) = ij + ji = 0.
     ce = rep.counterexample
@@ -246,9 +244,9 @@ def test_quat_doubling(cases):
 def test_quat_right_multiplication_centralizer_sides(cases):
     t = cases["case-quat-right-not-left-centralizer"]
     q = t.alg
-    assert is_jordan_left_gh_derivation(t).holds
-    assert is_right_centralizer(t.g).holds
-    assert not is_left_centralizer(t.g).holds
+    assert check(JLGH, t).holds
+    assert check(RIGHT_CENT, MapTriple(t.g, t.g, t.g)).holds
+    assert not check(LEFT_CENT, MapTriple(t.g, t.g, t.g)).holds
     p = q.element([5, 6, 7, 8])
     r = q.element([9, 10, 11, 12])
     assert t.g(p * r) != t.g(p) * r
@@ -287,8 +285,8 @@ def test_inner_derivation_is_derivation():
     t3 = upper_triangular(3)
     a = t3.element([1, 2, 3, 4, 5, 6])
     d = left_mul_map(a) - right_mul_map(a)
-    assert is_derivation(d).holds
-    assert is_jordan_derivation(d).holds
+    assert check(IdentityKind.DERIVATION, MapTriple(d, d, d)).holds
+    assert check(IdentityKind.JORDAN_DERIVATION, MapTriple(d, d, d)).holds
 
 
 def test_euler_operator_on_dual_numbers():
@@ -296,39 +294,36 @@ def test_euler_operator_on_dual_numbers():
     # algebra is commutative it is a left derivation too.
     dual = truncated_poly(ring_as_algebra(QQ), 1)
     e = LinMap.from_rows(dual, [[0, 0], [0, 1]])
-    assert is_derivation(e).holds
-    assert is_left_derivation(e).holds
+    assert check(IdentityKind.DERIVATION, MapTriple(e, e, e)).holds
+    assert check(IdentityKind.LEFT_DERIVATION, MapTriple(e, e, e)).holds
 
 
 def test_left_derivation_differs_from_derivation():
     t2 = upper_triangular(2)
     a = t2.element([1, 1, 1])
     d = left_mul_map(a) - right_mul_map(a)
-    assert is_derivation(d).holds
-    assert not is_left_derivation(d).holds
+    assert check(IdentityKind.DERIVATION, MapTriple(d, d, d)).holds
+    assert not check(IdentityKind.LEFT_DERIVATION, MapTriple(d, d, d)).holds
 
 
 def test_identity_map_centralizer_status():
     m2 = full_matrix(2)
     one = LinMap.identity(m2)
-    assert is_left_centralizer(one).holds
-    assert is_right_centralizer(one).holds
-    assert is_left_centralizer(right_mul_map(m2.basis_element(1))).holds is False
+    assert check(LEFT_CENT, MapTriple(one, one, one)).holds
+    assert check(RIGHT_CENT, MapTriple(one, one, one)).holds
+    r = right_mul_map(m2.basis_element(1))
+    assert check(LEFT_CENT, MapTriple(r, r, r)).holds is False
 
 
 def test_single_map_kinds_read_only_f(cases):
     # For the single-map identity classes a triple is judged by f alone.
     t = cases["case-t2-two-sided-not-left"]
-    assert check(IdentityKind.LEFT_CENTRALIZER, t).holds == \
-        is_left_centralizer(t.f).holds
+    only_f = MapTriple(t.f, t.f, t.f)
+    assert check(LEFT_CENT, t).holds == \
+        check(LEFT_CENT, only_f).holds
     garbage = MapTriple(t.f, LinMap.zero(t.alg), LinMap.identity(t.alg))
-    assert check(IdentityKind.RIGHT_CENTRALIZER, garbage).holds == \
-        is_right_centralizer(t.f).holds
-
-
-def test_checker_rejects_non_map_input():
-    with pytest.raises(TypeError):
-        is_derivation(42)
+    assert check(RIGHT_CENT, garbage).holds == \
+        check(RIGHT_CENT, only_f).holds
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +374,7 @@ def test_idempotent_rule_over_q():
     # Over a 2-torsion-free ring any two-sided solution satisfies
     # f(e) = e(g(e) + h(e)) at every idempotent e.
     t = tn_jordan_family(2, [3, -1, 2], [0, 7])
-    assert is_jordan_left_gh_derivation(t).holds
+    assert check(JLGH, t).holds
     t2 = t.alg
     for e in (t2.basis_element(0), t2.basis_element(2),
               t2.one(), t2.element([1, 5, 0])):
@@ -393,7 +388,7 @@ def test_idempotent_rule_fails_with_2_torsion():
     f = LinMap.from_rows(a, [[2]])
     t = MapTriple(f, f, f)
     e = a.one()
-    assert is_jordan_left_gh_derivation(t).holds
+    assert check(JLGH, t).holds
     assert t.f(e) != e * (t.g(e) + t.h(e))
     # The doubled form of the rule still holds, as it must.
     assert t.f(e).scale(2) == (e * (t.g(e) + t.h(e))).scale(2)
@@ -463,9 +458,9 @@ def test_audit_doubled_substitution(cases):
 
 
 def test_check_report_serialization(cases):
-    good = is_jordan_left_gh_derivation(cases["case-quat-doubling"])
+    good = check(JLGH, cases["case-quat-doubling"])
     assert bool(good) and good.to_doc() == {"holds": True}
-    bad = is_left_gh_derivation(cases["case-quat-doubling"])
+    bad = check(LGH, cases["case-quat-doubling"])
     doc = bad.to_doc()
     assert doc["holds"] is False
     assert doc["counterexample"]["i"] == 1
@@ -491,18 +486,18 @@ coeff = st.integers(-6, 6)
 @given(st.lists(coeff, min_size=3, max_size=3),
        st.lists(coeff, min_size=2, max_size=2))
 def test_triangular_jordan_family_always_two_sided(gp, hp):
-    assert is_jordan_left_gh_derivation(tn_jordan_family(2, gp, hp)).holds
+    assert check(JLGH, tn_jordan_family(2, gp, hp)).holds
 
 
 @given(st.lists(coeff, min_size=2, max_size=2),
        st.lists(coeff, min_size=2, max_size=2))
 def test_triangular_left_family_always_one_sided(gp, hp):
-    assert is_left_gh_derivation(tn_left_family(2, gp, hp)).holds
+    assert check(LGH, tn_left_family(2, gp, hp)).holds
 
 
 @given(st.lists(coeff, min_size=4, max_size=4))
 def test_matrix_and_quaternion_families_always_two_sided(co):
     m2 = full_matrix(2)
-    assert is_jordan_left_gh_derivation(mn_jordan_family(2, m2.element(co))).holds
+    assert check(JLGH, mn_jordan_family(2, m2.element(co))).holds
     q = quaternions()
-    assert is_jordan_left_gh_derivation(quat_jordan_family(q.element(co))).holds
+    assert check(JLGH, quat_jordan_family(q.element(co))).holds

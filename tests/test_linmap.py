@@ -32,10 +32,10 @@ from ghderiv.linmap import (
     map_from_doc,
     map_to_doc,
     mn_jordan_family,
-    poly_lift,
+    poly_lift_triple,
     quat_jordan_family,
     right_mul_map,
-    tensor_extend,
+    tensor_extend_triple,
     tn_jordan_family,
     tn_left_family,
     triple_from_doc,
@@ -260,7 +260,7 @@ def test_families_over_z5():
 def test_poly_lift_acts_degreewise():
     t2 = upper_triangular(2)
     f = right_mul_map(t2.element([1, 2, 3]))
-    lifted = poly_lift(f, 2)
+    lifted = poly_lift_triple(MapTriple(f, f, f), 2).f
     p = lifted.alg
     d = t2.dim
     for t in range(3):
@@ -276,7 +276,7 @@ def test_tensor_extend_acts_as_f_on_the_first_factor():
     t2 = upper_triangular(2)
     s = truncated_poly(ring_as_algebra(QQ), 1)
     f = right_mul_map(t2.element([1, 2, 3]))
-    ext = tensor_extend(f, s)
+    ext = tensor_extend_triple(MapTriple(f, f, f), s).f
     assert ext.alg.dim == t2.dim * s.dim
     # Extension acts as f on the first slot and preserves the second.
     for i in range(t2.dim):

@@ -20,7 +20,7 @@ from ghderiv.ring import (
     RingMismatch,
     Zmod,
 )
-from ghderiv.algebra import upper_triangular
+from ghderiv.algebra import StructureAlgebra, from_spec, upper_triangular, validate
 from ghderiv.linmap import (
     LinMap,
     MapTriple,
@@ -104,6 +104,58 @@ def test_left_centralizers_of_full_matrices(solved):
     sp = solved("mn2", IdentityKind.LEFT_CENTRALIZER)
     assert sp.dim == 4 + 2 * 16
     assert not project_gh_injectivity(sp)
+
+
+def twisted(alg, seed=1):
+    """``alg`` in the basis u_i = sum_k P[i][k] e_k, for a seeded sparse P.
+
+    P is the identity with d entries from {-2, 2, 3} set at seeded places
+    above the diagonal, and P[d-1][d-1] = 2: det P = 2, a unit over Q and
+    mod 5.  Then u_i u_j = sum P[i][k] P[j][l] sc[k][l][m] e_m and
+    e_m = sum Pinv[m][n] u_n, and the unity is unity . Pinv.  Computed
+    from ``sc`` by hand, not through the algebra's products.
+    """
+    d, m = alg.dim, alg.ring.m
+    rng = random.Random(seed)
+    P = [[Fraction(int(i == k)) for k in range(d)] for i in range(d)]
+    above = [(i, k) for i in range(d) for k in range(i + 1, d)]
+    for i, k in rng.sample(above, d):
+        P[i][k] = Fraction(rng.choice((-2, 2, 3)))
+    P[d - 1][d - 1] = Fraction(2)
+    # P is upper triangular: back substitution, column by column.
+    Pinv = [[Fraction(0)] * d for _ in range(d)]
+    for c in range(d):
+        for r in reversed(range(d)):
+            rest = sum(P[r][k] * Pinv[k][c] for k in range(r + 1, d))
+            Pinv[r][c] = (int(r == c) - rest) / P[r][r]
+
+    def to_basis(e):  # coordinates on e -> coordinates on u, in the ring
+        u = [sum(e[k] * Pinv[k][n] for k in range(d)) for n in range(d)]
+        return [x if m is None else x.numerator * pow(x.denominator, -1, m) % m for x in u]
+
+    sc = [[to_basis([sum(P[i][k] * P[j][l] * alg.sc[k][l][n]
+                         for k in range(d) if P[i][k] for l in range(d) if P[j][l])
+                     for n in range(d)])
+           for j in range(d)] for i in range(d)]
+    return StructureAlgebra(ring=alg.ring, dim=d, labels=tuple(f"u{i}" for i in range(d)),
+                            sc=sc, unity=to_basis(alg.unity))
+
+
+@pytest.mark.parametrize("spec, ring", [
+    ("tn2", QQ), ("tn3", QQ), ("mn2", QQ), ("quat", QQ),
+    ("tn2", Zmod(5)), ("tn3", Zmod(5)), ("mn2", Zmod(5)),
+], ids=str)
+def test_twisted_algebras_keep_every_dimension(spec, ring):
+    # Dimension is an isomorphism invariant, and a twisted table has what no
+    # built-in has: constants other than +-1, and products of several terms.
+    alg = from_spec(spec, ring)
+    tw = twisted(alg)
+    cells = [cell for row in tw.sc for cell in row]
+    assert {c for cell in cells for c in cell} - {0, 1, ring.reduce(-1)}
+    assert any(sum(map(bool, cell)) > 1 for cell in cells)
+    dims = {kind.value: (solve(tw, kind).dim, solve(alg, kind).dim) for kind in IdentityKind}
+    assert {k: dim for k, dim in dims.items() if dim[0] != dim[1]} == {}
+    assert validate(tw)
 
 
 # ---------------------------------------------------------------------------
