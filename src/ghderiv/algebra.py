@@ -30,7 +30,7 @@ constructor, and ``algebra_from_doc``, refuses a dimension above
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .ring import MAX_DIGITS, QQ, RingMismatch, RingSpec, _shown, _shown_number, array
@@ -88,10 +88,6 @@ class StructureAlgebra:
     labels: tuple[str, ...]
     sc: tuple
     unity: tuple
-    # Set by tensor_product so coordinate extraction can recover the factors.
-    # Deliberately excluded from equality: a tensor algebra and a structurally
-    # identical hand-built table are the same algebra.
-    factors: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         d = self.dim
@@ -253,7 +249,7 @@ def _check_dim(dim: int, what: str, *sizes: int) -> None:
                          f"over the limit of {MAX_DIM}")
 
 
-def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
+def _build(ring, labels, entries, unity, dim) -> StructureAlgebra:
     """Assemble a dense sc table from a sparse {(i,j,k): value} dict: every
     cell without an entry is one shared zero cell."""
     zero = (0,) * dim
@@ -269,24 +265,28 @@ def _build(ring, labels, entries, unity, dim, factors=None) -> StructureAlgebra:
         labels=tuple(labels),
         sc=sc,
         unity=tuple(unity),
-        factors=factors,
     )
+
+
+def _matrix_units(positions, ring: RingSpec) -> StructureAlgebra:
+    """The span of the matrix units e_ab, (a, b) in ``positions`` and in
+    that basis order: e_ab e_cd = e_ad when b = c, else 0.  Labels are
+    ``e{a+1}{b+1}``; the unity is the sum of the diagonal units.  The
+    positions must be closed under that product."""
+    index = {p: k for k, p in enumerate(positions)}
+    entries = {(index[(a, b)], index[(c, d)], index[(a, d)]): 1
+               for (a, b), (c, d) in itertools.product(positions, repeat=2) if b == c}
+    labels = [f"e{a + 1}{b + 1}" for a, b in positions]
+    unity = [int(a == b) for a, b in positions]
+    return _build(ring, labels, entries, unity, len(positions))
 
 
 def full_matrix(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     """The algebra of n x n matrices; basis e_ij in row-major order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = n * n
-    _check_dim(dim, "mn{}", n)
-    idx = lambda i, j: i * n + j
-    entries = {}
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        if b == c:
-            entries[(idx(a, b), idx(c, d), idx(a, d))] = 1
-    labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    unity = [int(i % (n + 1) == 0) for i in range(dim)]
-    return _build(ring, labels, entries, unity, dim)
+    _check_dim(n * n, "mn{}", n)
+    return _matrix_units([(i, j) for i in range(n) for j in range(n)], ring)
 
 
 def triangle_positions(n: int) -> list[tuple[int, int]]:
@@ -300,16 +300,7 @@ def upper_triangular(n: int, ring: RingSpec = QQ) -> StructureAlgebra:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_dim(n * (n + 1) // 2, "tn{}", n)
-    positions = triangle_positions(n)
-    pos_index = {p: k for k, p in enumerate(positions)}
-    dim = len(positions)
-    entries = {}
-    for (a, b), (c, d) in itertools.product(positions, repeat=2):
-        if b == c:
-            entries[(pos_index[(a, b)], pos_index[(c, d)], pos_index[(a, d)])] = 1
-    labels = [f"e{i + 1}{j + 1}" for i, j in positions]
-    unity = [int(i == j) for i, j in positions]
-    return _build(ring, labels, entries, unity, dim)
+    return _matrix_units(triangle_positions(n), ring)
 
 
 def quaternions() -> StructureAlgebra:
@@ -357,7 +348,7 @@ def tensor_product(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra
                             entries[(i * db + j, k * db + l, m * db + n)] = ca * cb
     labels = [f"{la}⊗{lb}" for la in a.labels for lb in b.labels]
     unity = [ua * ub for ua in a.unity for ub in b.unity]
-    return _build(QQ, labels, entries, unity, dim, factors=(a, b))
+    return _build(QQ, labels, entries, unity, dim)
 
 
 def _poly_label(base: str, t: int) -> str:

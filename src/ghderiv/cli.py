@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 malformed input or failed verification run,
-2 solving requested over a composite modulus.  No environment variables
-are consulted; an optional config file (JSON, or TOML when the name ends
-in .toml) may set ``ring`` and ``out_dir`` defaults.  Every document is
+Exit codes: 0 success, 1 malformed input, a failed verification run or a
+stdout closed before the output was written, 2 solving requested over a
+composite modulus.  No environment variables are consulted; an optional
+config file (JSON, or TOML when the name ends in .toml) may set ``ring``
+and ``out_dir`` defaults.  Every document is
 written as exactly the text of ``json.dumps(doc, indent=2)``, by
 ``_dumps``, which encodes each distinct string of a document once.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -385,7 +387,17 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _load_config(args.config)
-        return args.func(args, config)
+        code = args.func(args, config)
+        # Inside the try, so a reader that left early is handled below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, as ``head`` does: end quietly, with
+        # stdout on /dev/null so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CompositeModulusUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

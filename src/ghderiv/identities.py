@@ -282,15 +282,6 @@ class LeftGHDecomposition:
     d: LinMap
     d_is_left_derivation: bool
 
-    def to_doc(self) -> dict:
-        fmt = self.lam.alg.ring.format
-        return {
-            "lambda": [fmt(c) for c in self.lam.coords],
-            "lambda_central": self.lam_central,
-            "d": [[fmt(c) for c in row] for row in self.d.mat],
-            "d_is_left_derivation": self.d_is_left_derivation,
-        }
-
 
 def decompose_left_gh(t: MapTriple) -> LeftGHDecomposition:
     """Split a one-sided solution around the unity: lam = g(1) + h(1).

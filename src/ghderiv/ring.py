@@ -1,12 +1,14 @@
 """Exact arithmetic over the supported coefficient rings.
 
-Two families of coefficient rings are available: the rational numbers and
-the integers modulo m.  ``RingSpec`` alone owns the number format that
-every layer computes on.  A raw value over Q is a plain ``int`` or a
-``fractions.Fraction`` with a denominator above 1 (a whole number is always
-an ``int``); over Z/mZ it is an ``int`` residue in ``[0, m)``.  There is no
-floating point anywhere in this package: ``RingSpec.coerce`` is the one
-entry point for outside values and rejects floats, bools and Decimals.
+Two families of coefficient rings are available: the rational numbers,
+``QQ``, and the integers modulo m, ``Zmod(m)``; a ``RingSpec``'s modulus
+``m`` alone says which (``None`` for Q).  ``RingSpec`` alone owns the
+number format that every layer computes on.  A raw value over Q is a plain
+``int`` or a ``fractions.Fraction`` with a denominator above 1 (a whole
+number is always an ``int``); over Z/mZ it is an ``int`` residue in
+``[0, m)``.  There is no floating point anywhere in this package:
+``RingSpec.coerce`` is the one entry point for outside values and rejects
+floats, bools and Decimals.
 After ``+ - *`` on raw values, ``RingSpec.reduce`` restores the normal form
 (an integral ``Fraction`` becomes its ``int`` over Q, ``% m`` over Z/mZ);
 ``inv``, ``parse`` and ``format`` complete the arithmetic.  No value is
@@ -109,36 +111,30 @@ def _is_prime(n: int) -> bool:
 class RingSpec:
     """Descriptor of a coefficient ring: the rationals or integers mod m.
 
-    ``kind`` is ``"Q"`` (with ``m is None``) or ``"Zmod"`` (with ``m >= 2``).
+    ``m`` is ``None`` for Q and the modulus, an integer ``>= 2``, for Z/mZ.
     Instances are immutable and compare structurally, so they can be passed
-    around freely as value objects.
+    around freely as value objects.  Ring documents name the ring by
+    ``"kind"``: ``{"kind": "Q"}`` or ``{"kind": "Zmod", "m": m}``.
     """
 
-    kind: str
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "Q":
-            if self.m is not None:
-                raise ValueError("the rationals take no modulus")
-        elif self.kind == "Zmod":
-            if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-                raise ValueError("modulus must be an integer >= 2")
-        else:
-            raise ValueError(f"unknown ring kind: {self.kind!r}")
+        if self.m is not None:
+            _check_modulus(self.m)
 
     # -- predicates -------------------------------------------------------
 
     def two_torsion_free(self) -> bool:
         """True iff 2a = 0 forces a = 0 in this ring (Q always, Z/mZ iff m odd)."""
-        if self.kind == "Q":
+        if self.m is None:
             return True
         return self.m % 2 == 1
 
     def is_field(self) -> bool:
         """True for Q and for Z/pZ with p prime.  A modulus at or above
         ``PRIME_TEST_BOUND`` raises ValueError instead of a guess."""
-        if self.kind == "Q":
+        if self.m is None:
             return True
         return _is_prime(self.m)
 
@@ -284,7 +280,7 @@ class RingSpec:
     @property
     def name(self) -> str:
         """Short command-line name: "q" or "z<m>"."""
-        return "q" if self.kind == "Q" else f"z{self.m}"
+        return "q" if self.m is None else f"z{self.m}"
 
     @classmethod
     def from_name(cls, text: str) -> "RingSpec":
@@ -301,7 +297,7 @@ class RingSpec:
         raise ValueError(f"unknown ring name: {_shown(text)}")
 
     def to_doc(self) -> dict:
-        if self.kind == "Q":
+        if self.m is None:
             return {"kind": "Q"}
         return {"kind": "Zmod", "m": self.m}
 
@@ -320,14 +316,22 @@ class RingSpec:
         raise ValueError(f"unknown ring kind in document: {doc['kind']!r}")
 
     def __str__(self) -> str:
-        return "Q" if self.kind == "Q" else f"Z/{self.m}"
+        return "Q" if self.m is None else f"Z/{self.m}"
 
 
-QQ = RingSpec("Q")
+QQ = RingSpec()
+
+
+def _check_modulus(m) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+        raise ValueError("modulus must be an integer >= 2")
 
 
 def Zmod(m: int) -> RingSpec:
-    return RingSpec("Zmod", m)
+    """Z/mZ; a modulus that is not an integer >= 2, ``None`` included,
+    raises ValueError rather than naming Q."""
+    _check_modulus(m)
+    return RingSpec(m)
 
 
 def array(values, n: int, error: str):

@@ -32,7 +32,6 @@ so; the solver's one vector form is the sparse row of ``triple_to_row``.
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -333,9 +332,6 @@ def solve(alg, kind, constraints=None) -> SolutionSpace:
 # certificates and space predicates
 # ---------------------------------------------------------------------------
 
-_PERMUTATION_SEED = 9173
-
-
 def _constraints_hold(space: SolutionSpace, t: MapTriple) -> bool:
     cons = space.constraints
     if cons.force_g_eq_h and t.g.mat != t.h.mat:
@@ -355,8 +351,9 @@ def verify_space(space: SolutionSpace) -> bool:
        element interpreter of ``identities``, and the extra constraints:
        span(canonical) lies in the solution set;
     2. rank-nullity: dim equals 3d^2 minus the rank of a freshly rebuilt
-       system, which one ``_linalg.rref`` takes under a seeded random row
-       and column permutation: the solution set has dimension dim;
+       system, which one ``_linalg.rref`` takes with the column order
+       reversed, so that it picks every pivot from the other end of the
+       order than ``nullspace`` does: the solution set has dimension dim;
     3. shape: a scan of the stored nonzeros finds ``canonical`` a reduced
        echelon matrix.  Each row's smallest column is its pivot and holds
        1, the pivots strictly ascend, no row holds another row's pivot
@@ -384,12 +381,10 @@ def verify_space(space: SolutionSpace) -> bool:
             return False
         if not _constraints_hold(space, t):
             return False
-    rng = random.Random(_PERMUTATION_SEED)
-    cols = list(range(system.ncols))
-    rng.shuffle(cols)
-    permuted = [{cols[c]: v for c, v in row.items()} for row in system.rows]
-    rng.shuffle(permuted)
-    echelon, _ = _linalg.rref(permuted, space.alg.ring)
+    # Certificate 2: the columns in reverse order, the rows in compile order.
+    top = system.ncols - 1
+    echelon, _ = _linalg.rref([{top - c: v for c, v in row.items()} for row in system.rows],
+                              space.alg.ring)
     return space.rank == len(echelon)
 
 

@@ -112,7 +112,6 @@ def test_tensor_product_structure():
     dual = truncated_poly(ring_as_algebra(QQ), 1)
     p = tensor_product(t2, dual)
     assert p.dim == t2.dim * dual.dim
-    assert p.factors == (t2, dual)
 
     def at(i, j):
         return p.basis_element(i * dual.dim + j)
@@ -389,9 +388,9 @@ def test_sparse_build_matches_a_dense_table(monkeypatch, spec, ring):
     built = []
     build = algebra_mod._build
 
-    def recording(ring, labels, entries, unity, dim, factors=None):
+    def recording(ring, labels, entries, unity, dim):
         built.append((entries, dim))
-        return build(ring, labels, entries, unity, dim, factors)
+        return build(ring, labels, entries, unity, dim)
 
     monkeypatch.setattr(algebra_mod, "_build", recording)
     alg = from_spec(spec, ring)

@@ -11,7 +11,10 @@ sparse ones (basis triples of solved spaces, single-column maps).
 ``identities.identity_sides`` must give the hand-written sides at any two
 elements, not only basis vectors.  The rows ``solver.build_system`` emits
 must be the ones the same hand-written identities give on maps whose
-entries are unknowns, over Q, Z/5 and Z/4.
+entries are unknowns, over Q, Z/5 and Z/4, and they must be the
+interpreter's own Jacobian, row for row and position for position, on
+built-in and twisted algebras: the premise ``solver.verify_space``'s rank
+certificate rests on.
 """
 
 import contextlib
@@ -23,11 +26,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghderiv.algebra import AlgebraMismatch, from_spec
-from ghderiv.identities import IdentityKind, check, identity_sides
+from ghderiv.identities import IdentityKind, _evaluate, check, identity_sides, templates_at
 from ghderiv.linmap import LinMap, MapTriple
 from ghderiv.ring import QQ, Zmod
 from ghderiv.cli import main
 from ghderiv.solver import Constraints, build_system, space_member
+from test_solver import twisted
 
 K = IdentityKind
 
@@ -296,6 +300,54 @@ def test_emitted_rows_match_dense_compile(spec, ring):
         assert system.to_doc()["rows"] == [
             [ring.format(row.get(c, 0)) for c in range(system.ncols)] for row in rows
         ], kind
+
+
+def jacobian_rows(alg, kind):
+    """{layout position: row} of the identity rows, read off the interpreter.
+
+    The interpreter is linear in the triple, so evaluated on the unit triple
+    whose one nonzero entry is entry (r, k) of block b, column b d^2 + k d + r
+    of the system, it gives that column of every row: lhs - rhs at
+    coordinate m of template t of pair (i, j) is the entry of the row at
+    position start(i, j) + m T + t, with T templates at the pair.
+    """
+    d, reduce = alg.dim, alg.ring.reduce
+    rows, start = {}, 0
+    for i in range(d):
+        for j in range(d):
+            templates = templates_at(kind, i, j)
+            n = len(templates)
+            for b, name in enumerate("fgh"):
+                for k in range(d):
+                    for r in range(d):
+                        cols = {m: [{}] * d for m in "fgh"}
+                        cols[name] = [{r: 1} if c == k else {} for c in range(d)]
+                        sides = _evaluate(templates, cols, alg, ((i, j, 1),))
+                        for t, (lhs, rhs) in enumerate(sides):
+                            for m in lhs.keys() | rhs.keys():
+                                if v := reduce(lhs.get(m, 0) - rhs.get(m, 0)):
+                                    row = rows.setdefault(start + m * n + t, {})
+                                    row[b * d * d + k * d + r] = v
+            start += d * n
+    return rows
+
+
+@pytest.mark.parametrize("spec,ring,twist", [
+    (spec, ring, twist) for spec, ring in [
+        ("tn2", QQ), ("tn3", QQ), ("mn2", QQ), ("quat", QQ),
+        ("tn2", Zmod(5)), ("tn3", Zmod(5)), ("mn2", Zmod(5))]
+    for twist in (False, True)
+] + [
+    # twisted's base change has determinant 2, no unit mod 4, and needs d >= 3.
+    ("tn2", Zmod(4), False), ("mn2", Zmod(4), False), ("poly(ring,2)", Zmod(4), False),
+], ids=str)
+def test_compiled_rows_are_the_interpreters_jacobian(spec, ring, twist):
+    alg = from_spec(spec, ring)
+    if twist:
+        alg = twisted(alg)
+    for kind in IdentityKind:
+        system = build_system(alg, kind)
+        assert dict(zip(system.positions, system.rows)) == jacobian_rows(alg, kind), kind
 
 
 def test_constraint_rows_follow_the_identity_rows(solved):

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ghderiv
 from ghderiv.cli import _dumps, main
 from ghderiv.algebra import algebra_from_doc, algebra_to_doc, from_spec, upper_triangular
 from ghderiv.linmap import (
@@ -408,6 +413,28 @@ def test_export_requires_a_target(capsys):
     code, out, err = run(capsys, "export")
     assert code == 1
     assert "--algebra or --cases" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algebra", "tn3", "--kind", "left-gh"],
+    ["export", "--cases", "--out", None],
+], ids=["solve", "export"])
+def test_a_closed_stdout_exits_1_quietly(tmp_path, argv):
+    # The read end is closed before the child starts, so its first write
+    # meets a closed pipe whatever the size of the output.  The child's
+    # stdout stays block-buffered, as on any pipe, so export's few lines
+    # reach the pipe only when flushed.
+    argv = [str(tmp_path) if a is None else a for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ghderiv.__file__).parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        child = subprocess.run([sys.executable, "-m", "ghderiv.cli", *argv], stdout=w,
+                               stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,19 @@ def test_ring_names_and_docs():
         assert RingSpec.from_doc(r.to_doc()) == r
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Zmod(None),
+    lambda: Zmod(True),
+    lambda: Zmod(1),
+    lambda: RingSpec.from_doc({"kind": "Zmod", "m": None}),
+], ids=["None", "True", "1", "document-null"])
+def test_a_modulus_is_an_integer_from_2_and_never_names_q(make):
+    # A RingSpec without a modulus is Q, so Zmod must refuse None rather
+    # than hand back the rationals.
+    with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2$"):
+        make()
+
+
 def test_two_torsion_free_iff_odd_modulus():
     assert QQ.two_torsion_free()
     for m in range(2, 101):
