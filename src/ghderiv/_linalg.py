@@ -5,16 +5,16 @@ Rows are dicts mapping column index to a nonzero raw value of the ring
 ``int`` residues over Z/pZ.  The ring supplies reduction and inversion;
 the values themselves are the ones every other layer stores.
 
-``rref`` works in two phases.  Forward: each incoming row has the pivot
-columns it holds eliminated in ascending order (a heap picks up columns
-that subtractions bring in), and the normalised remainder becomes the row
-of its smallest column; rows already stored are left alone.  A
-single-entry row is settled with one lookup: it becomes the pivot row of
-its column, or repeats that row, or takes the general path.  Back: from
-the highest pivot down, each row subtracts the rows of the later pivot
-columns it still holds, which by then are fully reduced, so one pass is
-enough.  No step visits a pivot row whose column the row being reduced
-does not hold.
+``rref`` works in two phases.  Forward: rows are taken shortest first, by
+a stable sort, so no early long row fills every later one.  Each row has
+the pivot columns it holds eliminated in ascending order (a heap picks up
+columns that subtractions bring in), and the normalised remainder becomes
+the row of its smallest column; rows already stored are left alone.  A
+single-entry row comes before every longer one, so it meets only pivot
+rows ``{c: 1}`` and is settled by one lookup.  Back: from the highest
+pivot down, each row subtracts the rows of the later pivot columns it
+still holds, which by then are fully reduced, so one pass is enough.  No
+step visits a pivot row whose column the row being reduced does not hold.
 
 The reduced row echelon form of a set of rows is unique, independent of
 row order, and it is the only answer given here: ``rref`` returns it for
@@ -77,22 +77,18 @@ def rref(rows, ring: RingSpec):
             f"exact elimination over {ring} needs a prime modulus"
         )
     reduce = ring.reduce
-    # Forward phase: each incoming row is reduced against the pivot rows it
-    # meets and stored, normalised, under its smallest column.  Older rows
-    # are never touched, so they may still hold later pivot columns.
+    # Forward phase, shortest rows first (a stable sort): each row is reduced
+    # against the pivot rows it meets and stored, normalised, under its
+    # smallest column.  Older rows are never touched, so they may still hold
+    # later pivot columns.
     pivrows: dict[int, dict] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         if len(row) == 1:
-            # A single entry {c: v} says "unknown c is 0": it is the new
-            # pivot row {c: 1} if c has none, and adds nothing if c's pivot
-            # row already says the same.
+            # A single entry {c: v} says "unknown c is 0".  Only single-entry
+            # rows came before it, so c's pivot row, if any, is {c: 1}.
             (c,) = row
-            known = pivrows.get(c)
-            if known is None:
-                pivrows[c] = {c: 1}
-                continue
-            if len(known) == 1:
-                continue
+            pivrows.setdefault(c, {c: 1})
+            continue
         r = _reduce_against(dict(row), pivrows, reduce)
         if not r:
             continue

@@ -120,8 +120,18 @@ def _out_dir(flag_value: str | None, config: dict, default: str | None) -> Path 
     if target is None:
         return None
     p = Path(target)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {target}: {exc}") from exc
     return p
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _float_text(x: float) -> str:
@@ -273,6 +283,7 @@ def cmd_catalog(args, config) -> int:
 
 
 def cmd_verify_paper(args, config) -> int:
+    out = _out_dir(args.out, config, default=None)
     report = catalog_mod.run_catalog(args.filter)
     if not report.results:
         raise InputError(f"no catalog entry matches filter {args.filter!r}")
@@ -289,14 +300,9 @@ def cmd_verify_paper(args, config) -> int:
             f"passed {c.get('pass', 0)}, failed {c.get('fail', 0)}, "
             f"notes {c.get('note', 0)}"
         )
-    out = _out_dir(args.out, config, default=None)
     if out is not None:
-        (out / "report.json").write_text(
-            _dumps(report.to_doc()) + "\n", encoding="utf-8"
-        )
-        (out / "traceability.md").write_text(
-            catalog_mod.traceability_table(report), encoding="utf-8"
-        )
+        _write(out / "report.json", _dumps(report.to_doc()) + "\n")
+        _write(out / "traceability.md", catalog_mod.traceability_table(report))
         print(f"wrote {out / 'report.json'} and {out / 'traceability.md'}")
     return 0 if report.ok else 1
 
@@ -313,12 +319,12 @@ def cmd_export(args, config) -> int:
         if args.n is not None:
             safe += str(args.n)
         path = out / f"algebra-{safe}-{ring.name}.json"
-        path.write_text(_dumps(algebra_to_doc(alg)) + "\n", encoding="utf-8")
+        _write(path, _dumps(algebra_to_doc(alg)) + "\n")
         written.append(path)
     if args.cases:
         for cid, t in catalog_mod.worked_cases().items():
             path = out / f"{cid}.json"
-            path.write_text(_dumps(triple_to_doc(t)) + "\n", encoding="utf-8")
+            _write(path, _dumps(triple_to_doc(t)) + "\n")
             written.append(path)
     for path in written:
         print(path)

@@ -308,6 +308,8 @@ class RingSpec:
         if doc["kind"] == "Q":
             return QQ
         if doc["kind"] == "Zmod":
+            if "m" not in doc:
+                raise ValueError("bad ring document: a Zmod ring needs its modulus 'm'")
             m = doc["m"]
             if type(m) is int and m >= _DIGITS_BOUND:
                 raise ValueError(f"bad ring document: the modulus {_shown_number(m)} "

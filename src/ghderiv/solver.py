@@ -381,7 +381,7 @@ def verify_space(space: SolutionSpace) -> bool:
             return False
         if not _constraints_hold(space, t):
             return False
-    # Certificate 2: the columns in reverse order, the rows in compile order.
+    # Certificate 2: the rank with the columns in reverse order.
     top = system.ncols - 1
     echelon, _ = _linalg.rref([{top - c: v for c, v in row.items()} for row in system.rows],
                               space.alg.ring)

@@ -17,6 +17,9 @@ from ghderiv.catalog import (
 from ghderiv.algebra import is_commutative, validate
 from ghderiv.linmap import LinMap, MapTriple, poly_lift_triple
 from ghderiv.identities import IdentityKind
+from ghderiv.ring import QQ
+
+from test_solver import twisted
 
 EXPECTED_CASE_IDS = {
     "case-z4-doubling",
@@ -63,6 +66,40 @@ def test_full_catalog_passes(catalog_report):
     assert catalog_report.counts() == {"pass": 51, "note": 1}
     bad = [r.id for r in catalog_report.results if r.status == "fail"]
     assert bad == []
+
+
+# The entries that check what a basis change does not keep, each with why.
+BASIS_BOUND = {
+    **{cid: "its matrices are frozen in the standard basis"
+       for cid in EXPECTED_CASE_IDS - {"case-z4-doubling"}},
+    "decompose-one-sided-t2": "its matrices are frozen in the standard basis",
+    **{f"dim-tri-{kind}-{n}": "its family comes from matrix positions"
+       for kind in ("jordan", "left") for n in (2, 3, 4)},
+}
+
+
+class TwistedContext(Context):
+    """Every algebra in a re-based copy, except where ``twisted`` cannot
+    re-base it: over Z/4 (det P = 2 is no unit) or below dimension 3."""
+
+    def alg(self, spec, ring=QQ):
+        key = ("twisted", spec, ring)
+        if key not in self._algebras:
+            a = super().alg(spec, ring)
+            self._algebras[key] = a if ring.m == 4 or a.dim < 3 else twisted(a)
+        return self._algebras[key]
+
+
+def test_basis_free_claims_hold_in_a_twisted_basis(monkeypatch):
+    monkeypatch.setattr(catalog, "Context", TwistedContext)
+    report = run_catalog()
+    by_status = {}
+    for r in report.results:
+        by_status.setdefault(r.status, set()).add(r.id)
+    assert by_status["fail"] == set(BASIS_BOUND)
+    assert by_status["note"] == {"note-doubled-substitution"}
+    assert len(by_status["pass"]) == 35
+    assert set(by_status) == {"pass", "fail", "note"}
 
 
 def test_results_sorted_and_complete(catalog_report):

@@ -381,6 +381,15 @@ def test_verify_writes_report_files(capsys, tmp_path):
     assert "wrote" in out
 
 
+def test_verify_refuses_an_output_path_that_is_a_file_before_running(capsys, tmp_path):
+    taken = tmp_path / "list.json"
+    taken.write_text("{}")
+    code, out, err = run(capsys, "verify-paper", "--filter", "dim-tri", "--out", str(taken))
+    assert code == 1
+    assert out == ""  # the catalog never ran
+    assert err.startswith(f"error: cannot create directory {taken}: ")
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -407,6 +416,22 @@ def test_export_cases_round_trip(capsys, tmp_path):
     t = triple_from_doc(doc)
     assert check(IdentityKind.JORDAN_LEFT_GH, t).holds
     assert not check(IdentityKind.LEFT_GH, t).holds
+
+
+def test_export_output_errors_exit_1_without_a_traceback(capsys, tmp_path):
+    taken = tmp_path / "list.json"
+    taken.write_text("{}")
+    code, out, err = run(capsys, "export", "--cases", "--out", str(taken / "x"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot create directory {taken / 'x'}: ")
+    # A directory where a case file should go: the write itself fails.
+    (tmp_path / "case-m2-jordan-not-centralizer.json").mkdir()
+    code, out, err = run(capsys, "export", "--cases", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        f"error: cannot write {tmp_path / 'case-m2-jordan-not-centralizer.json'}: ")
 
 
 def test_export_requires_a_target(capsys):

@@ -248,6 +248,25 @@ def test_ring_names_and_docs():
         assert RingSpec.from_doc(r.to_doc()) == r
 
 
+def test_a_zmod_document_without_a_modulus_names_both():
+    with pytest.raises(ValueError, match=re.escape(
+            "bad ring document: a Zmod ring needs its modulus 'm'")):
+        RingSpec.from_doc({"kind": "Zmod"})
+
+
+def test_check_names_the_missing_modulus_of_an_inline_algebra(capsys, tmp_path):
+    # The message used to be "bad algebra document: 'm'", the key's repr alone.
+    alg = algebra_to_doc(upper_triangular(2, Zmod(5)))
+    alg["ring"] = {"kind": "Zmod"}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"matrix": [["1", "0", "0"]] * 3, "algebra": alg}))
+    assert main(["check", "--kind", "left-gh", "--map", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bad map document: bad ring document: "
+                   "a Zmod ring needs its modulus 'm'\n")
+
+
 @pytest.mark.parametrize("make", [
     lambda: Zmod(None),
     lambda: Zmod(True),

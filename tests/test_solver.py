@@ -106,16 +106,13 @@ def test_left_centralizers_of_full_matrices(solved):
     assert not project_gh_injectivity(sp)
 
 
-def twisted(alg, seed=1):
-    """``alg`` in the basis u_i = sum_k P[i][k] e_k, for a seeded sparse P.
+def twist_base(d, seed=1):
+    """The base change of ``twisted`` on d coordinates: (P, Pinv).
 
     P is the identity with d entries from {-2, 2, 3} set at seeded places
     above the diagonal, and P[d-1][d-1] = 2: det P = 2, a unit over Q and
-    mod 5.  Then u_i u_j = sum P[i][k] P[j][l] sc[k][l][m] e_m and
-    e_m = sum Pinv[m][n] u_n, and the unity is unity . Pinv.  Computed
-    from ``sc`` by hand, not through the algebra's products.
+    mod 5.  Entries are Fractions.
     """
-    d, m = alg.dim, alg.ring.m
     rng = random.Random(seed)
     P = [[Fraction(int(i == k)) for k in range(d)] for i in range(d)]
     above = [(i, k) for i in range(d) for k in range(i + 1, d)]
@@ -128,10 +125,26 @@ def twisted(alg, seed=1):
         for r in reversed(range(d)):
             rest = sum(P[r][k] * Pinv[k][c] for k in range(r + 1, d))
             Pinv[r][c] = (int(r == c) - rest) / P[r][r]
+    return P, Pinv
+
+
+def in_ring(x, ring):
+    """The Fraction ``x`` as a raw value of ``ring``."""
+    return x if ring.m is None else x.numerator * pow(x.denominator, -1, ring.m) % ring.m
+
+
+def twisted(alg, seed=1):
+    """``alg`` in the basis u_i = sum_k P[i][k] e_k, P from ``twist_base``.
+
+    Then u_i u_j = sum P[i][k] P[j][l] sc[k][l][m] e_m and
+    e_m = sum Pinv[m][n] u_n, and the unity is unity . Pinv.  Computed
+    from ``sc`` by hand, not through the algebra's products.
+    """
+    d = alg.dim
+    P, Pinv = twist_base(d, seed)
 
     def to_basis(e):  # coordinates on e -> coordinates on u, in the ring
-        u = [sum(e[k] * Pinv[k][n] for k in range(d)) for n in range(d)]
-        return [x if m is None else x.numerator * pow(x.denominator, -1, m) % m for x in u]
+        return [in_ring(sum(e[k] * Pinv[k][n] for k in range(d)), alg.ring) for n in range(d)]
 
     sc = [[to_basis([sum(P[i][k] * P[j][l] * alg.sc[k][l][n]
                          for k in range(d) if P[i][k] for l in range(d) if P[j][l])
@@ -156,6 +169,29 @@ def test_twisted_algebras_keep_every_dimension(spec, ring):
     dims = {kind.value: (solve(tw, kind).dim, solve(alg, kind).dim) for kind in IdentityKind}
     assert {k: dim for k, dim in dims.items() if dim[0] != dim[1]} == {}
     assert validate(tw)
+
+
+@pytest.mark.parametrize("kind", [JLGH, LGH], ids=lambda k: k.value)
+@pytest.mark.parametrize("spec, ring", [
+    ("tn2", QQ), ("tn3", QQ), ("mn2", QQ), ("quat", QQ), ("mn3", QQ), ("tn4", QQ),
+    ("tn2", Zmod(5)), ("tn3", Zmod(5)), ("mn2", Zmod(5)),
+], ids=str)
+def test_twisted_space_is_the_space_carried_through_the_isomorphism(spec, ring, kind):
+    # u_i has e-coordinates row i of P, so with Phi = P^T a map M on the
+    # built-in is Phi^-1 M Phi on the twisted copy, and Phi^-1 = Pinv^T.
+    alg = from_spec(spec, ring)
+    tw = twisted(alg)
+    P, Pinv = twist_base(alg.dim)
+    idx = range(alg.dim)
+
+    def carry(m):
+        rows = [[in_ring(sum(Pinv[r][i] * m.mat[r][c] * P[j][c]
+                             for r in idx if Pinv[r][i] for c in idx if P[j][c]), ring)
+                 for j in idx] for i in idx]
+        return LinMap.from_rows(tw, rows)
+
+    carried = [MapTriple(carry(t.f), carry(t.g), carry(t.h)) for t in solve(alg, kind).basis]
+    assert canonical_span(tw, carried) == solve(tw, kind).canonical
 
 
 # ---------------------------------------------------------------------------
