@@ -135,6 +135,28 @@ class StructureAlgebra:
 
         return tuple(tuple(map(view, row)) for row in self.sc)
 
+    @cached_property
+    def _partners(self):
+        """(products, right, left), read off ``_pair_table``.
+
+        products[k] holds the pairs (i, j), in lexicographic order, whose
+        product e_i e_j has a nonzero e_k coordinate; right[l] holds the q
+        with e_l e_q != 0 and left[l] the p with e_p e_l != 0.
+        """
+        d = self.dim
+        products = [[] for _ in range(d)]
+        right = [set() for _ in range(d)]
+        left = [set() for _ in range(d)]
+        for i, row in enumerate(self._pair_table):
+            for j, cell in enumerate(row):
+                if cell:
+                    right[i].add(j)
+                    left[j].add(i)
+                    for k, _ in cell:
+                        products[k].append((i, j))
+        return (tuple(map(tuple, products)), tuple(map(frozenset, right)),
+                tuple(map(frozenset, left)))
+
     # -- elements -----------------------------------------------------------
 
     def element(self, coords) -> "AlgElement":
@@ -413,7 +435,7 @@ def validate(alg: StructureAlgebra) -> ValidationReport:
     reduce = alg.ring.reduce
     table = alg._pair_table
     # live[j]: the k with e_j e_k != 0.
-    live = [frozenset(k for k, cell in enumerate(row) if cell) for row in table]
+    live = alg._partners[1]
     for i in range(d):
         row_i = table[i]
         for j in range(d):

@@ -38,6 +38,10 @@ class InputError(ValueError):
 
 # ``solve --emit-system`` prints every row densely; larger systems are refused.
 EMIT_SYSTEM_MAX_CELLS = 5_000_000
+# Largest document ``check`` reads, in bytes (in characters from stdin):
+# about twice the 32.3 MB of json.dumps(doc, indent=2) text that a dim-128
+# triple document with an inline algebra takes.
+MAX_DOC_BYTES = 64 * 2**20
 
 
 def _object(doc, what: str) -> dict:
@@ -95,16 +99,24 @@ def _resolve_algebra(name: str, n: int | None, ring: RingSpec):
 def _read_doc(path: str) -> dict:
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
+            text = sys.stdin.read(MAX_DOC_BYTES + 1)
         else:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                # A file's size is known before anything is read; stdin's
+                # and a pipe's are not, so the read itself is bounded.
+                size = os.fstat(fh.fileno()).st_size
+                text = fh.read(MAX_DOC_BYTES + 1) if size <= MAX_DOC_BYTES else None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    if text is None or len(text) > MAX_DOC_BYTES:
+        raise InputError(f"{path} is larger than the document budget of "
+                         f"{MAX_DOC_BYTES} bytes ({MAX_DOC_BYTES >> 20} MiB)")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:
         # Python's limit on int-to-text conversion; its message names
         # neither the document nor the literal.

@@ -14,12 +14,17 @@ compiled rows are only ever solved.
 
 All templates are bilinear in the two element arguments, so an identity
 holds on the whole algebra iff it holds on every ordered basis pair;
-``check`` scans every pair in lexicographic order and reports the first
-failure exactly as computed, never normalized.  It works on sparse coordinates: each map is read once as its
-nonzero columns, each product off the algebra's ``_pair_table``, and
-each side is a {coordinate: nonzero value} dict, turned into elements
-only where they are returned or reported.  Arguments other than basis
-vectors are expanded over the basis pairs of their supports.
+``check`` scans the pairs in lexicographic order and reports the first
+failure exactly as computed, never normalized.  Only pairs where a term
+can be nonzero are visited: M(ab) needs a basis vector of e_i e_j whose
+column in M is nonzero, and M(a)b or bM(a) needs a nonzero coordinate of
+M(e_i) with a nonzero product against e_j.  Every other pair has both
+sides zero, so skipping it leaves the first failure where it was.  It
+works on sparse coordinates: each map is read once as its nonzero
+columns, each product off the algebra's ``_pair_table``, and each side
+is a {coordinate: nonzero value} dict, turned into elements only where
+they are returned or reported.  Arguments other than basis vectors are
+expanded over the basis pairs of their supports.
 
 The square identity D(a^2) = D(a)a + aD(a) is the one quadratic case; it
 is checked on every basis vector together with its polarized form
@@ -247,24 +252,50 @@ def identity_sides(
             for sides in _evaluate(IDENTITIES[kind], _triple_columns(t), alg, pairs)]
 
 
-def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
-    """Scan all ordered basis pairs in lexicographic order; first failure wins.
+def _live_pairs(templates, cols: dict, alg) -> list:
+    """The ordered basis pairs where a term of ``templates`` can be nonzero,
+    in lexicographic order, found from the maps' nonzeros and the algebra's
+    ``_partners``, not by visiting every pair."""
+    products, right, left = alg._partners
+    terms = {(name, shape) for template in templates for side in template
+             for _, name, shape in side}
+    live = set()
+    for name, shape in terms:
+        where, arg, _ = SHAPES[shape]
+        col = cols[name]
+        if where == "apply":
+            found = [pq for k, image in enumerate(col) if image for pq in products[k]]
+        else:
+            partners = right if where == "left" else left
+            found = [(p, q) for p, image in enumerate(col) for l in image
+                     for q in partners[l]]
+        # (p, q) are (x_arg, x_other); the pair is (a, b) = (x_0, x_1).
+        live.update(found if arg == 0 else [(q, p) for p, q in found])
+    return sorted(live)
 
-    Every pair is evaluated, none skipped, and nothing is kept between
-    pairs but the maps' columns; elements are built only for the reported
-    counterexample.
+
+def check(kind: IdentityKind, t: MapTriple) -> CheckReport:
+    """Scan the ordered basis pairs in lexicographic order; first failure wins.
+
+    Only pairs where a term can be nonzero are visited: M(e_i e_j) needs an
+    e_k in e_i e_j whose column in M is nonzero, and M(e_i)e_j or
+    e_j M(e_i) needs e_l e_j != 0 or e_j e_l != 0 for some nonzero
+    coordinate e_l of M(e_i) (and likewise with i and j swapped).  At
+    every other pair each term sums over nothing, so both sides are zero,
+    and skipping it leaves the first failure where it was.  Nothing is
+    kept between pairs but the maps' columns; elements are built only for
+    the reported counterexample.
     """
     alg = t.alg
     cols = _triple_columns(t)
     # The templates depend only on whether i <, = or > j.
     above, diagonal, below = (templates_at(kind, 0, 1), templates_at(kind, 0, 0),
                               templates_at(kind, 1, 0))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            templates = above if i < j else diagonal if i == j else below
-            for sides in _evaluate(templates, cols, alg, ((i, j, 1),)):
-                if sides[0] != sides[1]:
-                    return CheckReport(False, Counterexample(i, j, *_dense(alg, sides)))
+    for i, j in _live_pairs(above + diagonal + below, cols, alg):
+        templates = above if i < j else diagonal if i == j else below
+        for sides in _evaluate(templates, cols, alg, ((i, j, 1),)):
+            if sides[0] != sides[1]:
+                return CheckReport(False, Counterexample(i, j, *_dense(alg, sides)))
     return CheckReport(True)
 
 

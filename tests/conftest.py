@@ -16,14 +16,16 @@ def solved():
     """Memoized solve-and-certify: every space handed out passed verify_space.
 
     A thin wrapper over one catalog.Context; ``solved.cache`` holds every
-    certified space.
+    certified space.  ``spec`` is a spec string, built over ``ring``, or
+    an algebra.
     """
     from ghderiv import catalog
 
     ctx = catalog.Context()
 
     def get(spec, kind, constraints=None, ring=G.QQ):
-        return ctx.space(ctx.alg(spec, ring), kind, constraints)
+        alg = spec if isinstance(spec, G.StructureAlgebra) else ctx.alg(spec, ring)
+        return ctx.space(alg, kind, constraints)
 
     get.cache = ctx.spaces
     return get

@@ -2,12 +2,15 @@
 
 Evaluating every identity, written out below by hand, at every ordered
 basis pair gives the reference report.  ``identities.check`` interprets
-the identity table at every basis pair on sparse coordinates and must
-give that report: the same verdict, and the same lex-first counterexample
-with both sides.  Over a field, the solved space of the compiled rows
-must hold the triple (``space_member``) exactly when the verdict is
-"holds".  The cases run up to dimension 12, on dense triples and on
-sparse ones (basis triples of solved spaces, single-column maps).
+the identity table on sparse coordinates, at only the basis pairs where
+a term can be nonzero, and must give that report: the same verdict, and
+the same lex-first counterexample with both sides.  Over a field, the
+solved space of the compiled rows must hold the triple (``space_member``)
+exactly when the verdict is "holds".  The cases run up to dimension 12,
+on built-in algebras and on twisted copies whose products have several
+terms and constants other than +-1, on dense triples and on sparse ones
+(basis triples of solved spaces, single-column maps, and every triple
+with a single nonzero entry).
 ``identities.identity_sides`` must give the hand-written sides at any two
 elements, not only basis vectors.  The rows ``solver.build_system`` emits
 must be the ones the same hand-written identities give on maps whose
@@ -18,6 +21,7 @@ certificate rests on.
 """
 
 import contextlib
+import functools
 import io
 import json
 from fractions import Fraction
@@ -124,17 +128,26 @@ SPECS = {
 }
 
 
+@functools.cache
+def twisted_spec(spec, ring):
+    return twisted(from_spec(spec, ring))
+
+
 @st.composite
 def kind_and_triple(draw, solved):
     ring = draw(st.sampled_from(list(SPECS)))
     spec = draw(st.sampled_from(SPECS[ring]))
     kind = draw(st.sampled_from(list(IdentityKind)))
     alg = from_spec(spec, ring)
+    # A twisted copy has constants other than +-1 and products of several
+    # terms.  twisted needs d >= 3, and its base change is no unit mod 4.
+    if ring.is_field() and alg.dim >= 3 and draw(st.booleans()):
+        alg = twisted_spec(spec, ring)
     d = alg.dim
     values = (st.integers(-3, 3) if ring.m is None else st.integers(0, ring.m - 1))
     base = draw(st.sampled_from(["zero", "identity", "solution", "basis", "column"]))
     if base in ("solution", "basis") and ring.is_field():
-        sp = solved(spec, kind, ring=ring)
+        sp = solved(alg, kind)
         if base == "solution" or not sp.dim:
             sol = sp.combination([draw(values) for _ in range(sp.dim)])
         else:
@@ -157,7 +170,7 @@ def kind_and_triple(draw, solved):
         for _ in range(draw(st.integers(0, 3))):
             m, r, c = draw(st.integers(0, 2)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
             mats[m][r][c] = draw(values)
-    return spec, kind, MapTriple(*(LinMap.from_rows(alg, m) for m in mats))
+    return kind, MapTriple(*(LinMap.from_rows(alg, m) for m in mats))
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +181,35 @@ def draw_case(solved):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_compiled_check_and_interpreter_match_brute_force(solved, draw_case, data):
-    spec, kind, t = data.draw(draw_case)
+    kind, t = data.draw(draw_case)
     want = brute_force_doc(kind, t)
     report = check(kind, t)
     assert report.to_doc() == want
     assert bool(report) is want["holds"]
-    ring = t.alg.ring
-    if ring.is_field():
-        assert space_member(solved(spec, kind, ring=ring), t) is want["holds"]
+    if t.alg.ring.is_field():
+        assert space_member(solved(t.alg, kind), t) is want["holds"]
+
+
+@pytest.mark.parametrize("alg", [from_spec("tn3"), from_spec("mn2"), twisted(from_spec("mn2"))],
+                         ids=["tn3", "mn2", "twisted-mn2"])
+def test_every_unit_triple_matches_brute_force(alg):
+    """One entry of f, g or h set, for every entry and every kind.
+
+    Such a triple is nonzero at few pairs, so a pair the checker skips
+    although a term is nonzero there is, for some unit triple, where its
+    report first parts from the brute force's.  On mn2, f(ab + ba) with f
+    nonzero only on e21 first fails at (e11, e21), where only e21 e11 meets
+    e21: a scan that read M(ba) as M(ab) would report (e21, e11).
+    """
+    d = alg.dim
+    for kind in IdentityKind:
+        for b in range(3):
+            for r in range(d):
+                for c in range(d):
+                    mats = [[[0] * d for _ in range(d)] for _ in range(3)]
+                    mats[b][r][c] = 1
+                    t = MapTriple(*(LinMap.from_rows(alg, m) for m in mats))
+                    assert check(kind, t).to_doc() == brute_force_doc(kind, t), (kind, b, r, c)
 
 
 ELEMENT_SPECS = {

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghderiv
+from ghderiv import cli
 from ghderiv.cli import _dumps, main
 from ghderiv.algebra import algebra_from_doc, algebra_to_doc, from_spec, upper_triangular
 from ghderiv.linmap import (
@@ -238,6 +240,45 @@ def test_check_refuses_a_document_nested_too_deeply(capsys, tmp_path, flag):
     assert (code, out) == (1, "")
     assert err == f"error: {path} is nested too deeply to parse\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--triple", "--map"])
+def test_check_refuses_a_file_over_the_document_budget_unread(capsys, tmp_path, flag):
+    # A sparse file: its size is one byte over the budget, and none of it
+    # is on disk or in memory.  Reading it would allocate the whole budget,
+    # so a peak far below that shows the size was checked first.
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, cli.MAX_DOC_BYTES + 1)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "--kind", "left-gh", flag, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path} is larger than the document budget of "
+                   f"{cli.MAX_DOC_BYTES} bytes (64 MiB)\n")
+    assert peak < cli.MAX_DOC_BYTES // 64
+
+
+def test_stdin_is_read_up_to_the_document_budget(capsys, monkeypatch):
+    # A budget of the document's own length admits it; one byte less
+    # refuses it, having read at most one character more than the budget.
+    text = json.dumps({"matrix": [[0]], "algebra": "ring"})
+    reads = []
+
+    class Stdin(io.StringIO):
+        def read(self, n=-1):
+            reads.append(n)
+            return super().read(n)
+
+    for budget, code in ((len(text), 0), (len(text) - 1, 1)):
+        monkeypatch.setattr(cli, "MAX_DOC_BYTES", budget)
+        monkeypatch.setattr("sys.stdin", Stdin(text))
+        got, out, err = run(capsys, "check", "--kind", "left-gh", "--map", "-")
+        assert got == code and reads[-1] == budget + 1
+    assert err == f"error: - is larger than the document budget of {budget} bytes (0 MiB)\n"
 
 
 @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
