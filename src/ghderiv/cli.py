@@ -102,10 +102,12 @@ def _read_doc(path: str) -> dict:
             text = sys.stdin.read(MAX_DOC_BYTES + 1)
         else:
             with open(path, "r", encoding="utf-8") as fh:
-                # A file's size is known before anything is read; stdin's
-                # and a pipe's are not, so the read itself is bounded.
+                # A file is measured before any of it is read, and read for
+                # its size (a read for the whole budget would reserve a
+                # buffer that large).  A pipe or device reports size 0, so
+                # only the read bounds it, as it does stdin.
                 size = os.fstat(fh.fileno()).st_size
-                text = fh.read(MAX_DOC_BYTES + 1) if size <= MAX_DOC_BYTES else None
+                text = None if size > MAX_DOC_BYTES else fh.read((size or MAX_DOC_BYTES) + 1)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

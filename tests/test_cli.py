@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -279,6 +280,24 @@ def test_stdin_is_read_up_to_the_document_budget(capsys, monkeypatch):
         got, out, err = run(capsys, "check", "--kind", "left-gh", "--map", "-")
         assert got == code and reads[-1] == budget + 1
     assert err == f"error: - is larger than the document budget of {budget} bytes (0 MiB)\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_up_to_the_document_budget(capsys, monkeypatch, tmp_path):
+    # A pipe reports size 0, so only the bounded read can refuse it.
+    text = json.dumps({"matrix": [[0]], "algebra": "ring"})
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    for budget, code in ((len(text), 0), (len(text) - 1, 1)):
+        monkeypatch.setattr(cli, "MAX_DOC_BYTES", budget)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        got, out, err = run(capsys, "check", "--kind", "left-gh", "--map", str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == code, err
+    assert err == (f"error: {path} is larger than the document budget of "
+                   f"{budget} bytes (0 MiB)\n")
 
 
 @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
